@@ -16,8 +16,7 @@ from .dynamics import default_lambda, run
 from .errors import InvalidParameterError, ResourceBudgetError, SchemaError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .model import validate
-from .montecarlo import trial_states
-from .ramnet import IndexInstance, build_neuro_ram, clamps_for
+from .ramnet import IndexInstance, build_neuro_ram, index_hits
 from .serialize import (
     load_feedforward, load_network, save_circuit, save_feedforward, save_network,
 )
@@ -77,14 +76,13 @@ def cmd_build_similarity(args) -> int:
 
 
 def cmd_index(args) -> int:
+    x = parse_bits(args.x)
+    if len(x) != args.n:
+        raise InvalidParameterError(f"--x has {len(x)} bits but --n is {args.n}")
     lam = args.lam if args.lam is not None else default_lambda(args.n)
     net, layout = build_neuro_ram(args.n, lam=lam)
-    inst = IndexInstance(parse_bits(args.x), parse_bits(args.y))
-    states = trial_states(
-        net, [(clamps_for(layout, inst), layout.rounds + 1)], args.trials, args.seed,
-        [layout.out],
-    )
-    hits = int((states[:, layout.rounds, 0] == bool(inst.truth)).sum())
+    inst = IndexInstance(x, parse_bits(args.y))
+    hits = index_hits(net, layout, inst, args.trials, args.seed)
     print(_csv_line(("n", "x", "y", "truth", "trials", "successes")))
     print(_csv_line((args.n, args.x, args.y, inst.truth, args.trials, hits)))
     return 0

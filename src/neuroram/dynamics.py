@@ -104,7 +104,7 @@ def firing_probability(pot: int, lam: Fraction) -> float:
 
 def _check_clamps(net: Network, clamps: ClampSpec) -> None:
     for u, bit in clamps.items():
-        if not net.is_input(u):
+        if not (0 <= u < len(net) and net.is_input(u)):
             raise InvalidParameterError(f"only input neurons may be clamped, got {u}")
         if bit not in (0, 1):
             raise InvalidParameterError(f"clamp bit for {u} must be 0 or 1, got {bit!r}")
@@ -157,16 +157,23 @@ def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundS
     return RoundState(tuple(bits), t)
 
 
+def check_schedule(net: Network, schedule: Sequence[tuple[ClampSpec, int]], seed: int) -> None:
+    """Reject what neither engine may run; shared by :func:`run_schedule` and ``trial_states``."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+    if not schedule:
+        raise InvalidParameterError("schedule must contain at least one window")
+    for clamps, duration in schedule:
+        if duration <= 0:
+            raise InvalidParameterError(f"window duration must be positive, got {duration}")
+        _check_clamps(net, clamps)
+
+
 def run(net: Network, clamps: ClampSpec, rounds: int, seed: int) -> Trace:
     """Simulate rounds 0..rounds under a fixed clamp; pure in (net, clamps, rounds, seed)."""
     if rounds < 0:
         raise InvalidParameterError(f"rounds must be >= 0, got {rounds}")
-    state = initial_state(net, clamps)
-    states = [state]
-    for _ in range(rounds):
-        state = step(net, state, clamps, seed)
-        states.append(state)
-    return Trace(tuple(states))
+    return run_schedule(net, [(clamps, rounds + 1)], seed)
 
 
 def run_schedule(
@@ -180,13 +187,8 @@ def run_schedule(
     in rounds and must be positive.  Round 0 belongs to the first window, so
     the total number of simulated rounds is sum(durations) - 1.
     """
-    if not schedule:
-        raise InvalidParameterError("schedule must contain at least one window")
-    per_round: list[ClampSpec] = []
-    for clamps, duration in schedule:
-        if duration <= 0:
-            raise InvalidParameterError(f"window duration must be positive, got {duration}")
-        per_round.extend([clamps] * duration)
+    check_schedule(net, schedule, seed)
+    per_round = [clamps for clamps, duration in schedule for _ in range(duration)]
     state = initial_state(net, per_round[0])
     states = [state]
     for t in range(1, len(per_round)):

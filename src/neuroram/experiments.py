@@ -90,19 +90,13 @@ def _map_cases(fn: Callable, cases: Sequence) -> list:
         return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (4 * workers))))
 
 
-_INDEX_CTX: dict = {}
-
-
 def _index_case(case: tuple) -> tuple:
     # Worker for one (x, y, seed) indexing combination; builds via module
     # cache so forked workers do not re-wire the network per case.
     n, lam, trials, x, y, case_seed = case
     net, layout = ramnet._cached_ram(n, False, lam)
     inst = IndexInstance(x, y)
-    clamps = clamps_for(layout, inst)
-    states = trial_states(net, [(clamps, layout.rounds + 1)], trials, case_seed,
-                          [layout.out])
-    hits = int((states[:, layout.rounds, 0] == bool(inst.truth)).sum())
+    hits = ramnet.index_hits(net, layout, inst, trials, case_seed)
     return (n, format_bits(x), format_bits(y), inst.truth, trials, hits)
 
 

@@ -53,6 +53,7 @@ from .bits import binary, dec
 from .dynamics import ClampSpec, Trace, default_lambda, run, run_schedule
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
+from .montecarlo import trial_states
 
 CLOCK_OK = "ok"
 CLOCK_NEVER_STARTED = "never-started"
@@ -379,6 +380,14 @@ def clamps_for(layout: NeuroRamLayout, instance: IndexInstance) -> dict[int, int
     clamps = {nid: bit for nid, bit in zip(layout.data, instance.x)}
     clamps.update({nid: bit for nid, bit in zip(layout.addr, instance.y)})
     return clamps
+
+
+def index_hits(net: Network, layout: NeuroRamLayout, instance: IndexInstance,
+               trials: int, seed: int) -> int:
+    """Trials (vectorized) whose output at round ``layout.rounds`` is the addressed bit."""
+    schedule = [(clamps_for(layout, instance), layout.rounds + 1)]
+    states = trial_states(net, schedule, trials, seed, [layout.out])
+    return int((states[:, layout.rounds, 0] == bool(instance.truth)).sum())
 
 
 def solve_index(

@@ -34,6 +34,13 @@ def _parse_int(value: Any, path: str) -> int:
         raise SchemaError(f"{path}: not a decimal integer: {value!r}") from None
 
 
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"root: invalid JSON: {exc}") from None
+
+
 def parse_rational(text: Any, path: str = "lambda") -> Fraction:
     if not isinstance(text, str):
         raise SchemaError(f"{path}: expected 'p/q' string, got {text!r}")
@@ -129,11 +136,7 @@ def save_network(net: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"root: invalid JSON: {exc}") from None
-    return network_from_json(doc)
+    return network_from_json(_read_json(path))
 
 
 def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
@@ -165,11 +168,7 @@ def save_feedforward(ff: FeedforwardNetwork, path: str | Path) -> None:
 
 
 def load_feedforward(path: str | Path) -> FeedforwardNetwork:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"root: invalid JSON: {exc}") from None
-    return feedforward_from_json(doc)
+    return feedforward_from_json(_read_json(path))
 
 
 def circuit_to_json(tc: ThresholdCircuit) -> dict:
@@ -194,8 +193,4 @@ def save_circuit(tc: ThresholdCircuit, path: str | Path) -> None:
 
 
 def load_circuit(path: str | Path) -> ThresholdCircuit:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"root: invalid JSON: {exc}") from None
-    return circuit_from_json(doc)
+    return circuit_from_json(_read_json(path))

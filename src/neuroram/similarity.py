@@ -11,15 +11,14 @@ The frozen pattern addresses a pair of indexing units, one over each input
 pattern; a per-pair comparator (an excitatory OR with bias 1 and an
 inhibitory AND with bias 3, both reading the pair outputs with weight 2,
 wired +2/-2 into the output) lifts the output exactly when some pair
-disagrees.  The output is read at round 5*sqrt(n) + 2.
+disagrees.
 
 Because the random index only settles in round 1, each embedded indexing
 unit starts its clock through a one-round delay relay, shifting its
-internal schedule by one round.  With the fixed read round this leaves the
-last of the sqrt(n) read steps unobserved, i.e. probes addressing the last
-position of a bucket do not report; the miss-probability analysis absorbs
-this as a constant factor on the per-probe hit rate and the false-positive
-direction is unaffected.
+internal schedule by one round.  The output is therefore read at round
+5*sqrt(n) + 3, the unit's 5*sqrt(n) + 1 rounds plus the comparator's two,
+so that the last of the sqrt(n) read steps (probes addressing the last
+position of a bucket) is observed too.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class SimilarityLayout:
 
     @property
     def read_round(self) -> int:
-        return 5 * dimension(self.n) + 2
+        return 5 * dimension(self.n) + 3
 
     def manifest(self) -> dict[str, int]:
         roles: dict[str, int] = {}
@@ -192,7 +192,10 @@ def clamps_for(layout: SimilarityLayout, x1: tuple[int, ...], x2: tuple[int, ...
     return clamps
 
 
-def test_similarity(
+_cached_similarity = lru_cache(maxsize=8)(build_similarity)
+
+
+def similarity_once(
     n: int,
     eps: float,
     x1: tuple[int, ...],
@@ -202,7 +205,7 @@ def test_similarity(
     lam: Fraction | None = None,
 ) -> int:
     """One run: 1 if the network flags the patterns as far apart, else 0."""
-    net, layout = build_similarity(n, eps, c, lam)
+    net, layout = _cached_similarity(n, eps, c, lam)
     trace = run(net, clamps_for(layout, x1, x2), layout.read_round, seed)
     return trace.fired(layout.read_round, layout.out)
 

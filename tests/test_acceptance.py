@@ -16,7 +16,7 @@ from neuroram.model import Kind, NetworkBuilder, Polarity
 from neuroram.montecarlo import trial_states
 from neuroram.ramnet import (
     IndexInstance, address_bits, build_neuro_ram, clamps_for,
-    expected_clock_rounds, expected_encoding_potential,
+    expected_clock_rounds, expected_encoding_potential, index_hits,
 )
 from neuroram.randomnets import random_network
 from neuroram.similarity import (
@@ -42,12 +42,7 @@ def _combo_rates(n, combos, trials, seed):
     net, layout = build_neuro_ram(n, lam=LAM)
     rates = []
     for k, (x, y) in enumerate(combos):
-        inst = IndexInstance(x, y)
-        states = trial_states(
-            net, [(clamps_for(layout, inst), layout.rounds + 1)],
-            trials, seed + 7919 * k, [layout.out],
-        )
-        hits = int((states[:, layout.rounds, 0] == bool(inst.truth)).sum())
+        hits = index_hits(net, layout, IndexInstance(x, y), trials, seed + 7919 * k)
         rates.append(hits / trials)
     return rates
 

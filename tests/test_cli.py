@@ -97,6 +97,19 @@ def test_cli_reports_parameter_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_index_rejects_negative_seed(capsys):
+    code = main(["index", "--n", "4", "--x", "1010", "--y", "10", "--seed", "-1"])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_index_names_data_length_mismatch(capsys):
+    code = main(["index", "--n", "4096", "--x", "0", "--y", "0" * 12])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--x has 1 bits but --n is 4096" in err
+
+
 def test_experiment_clock_and_csv_stability(tmp_path):
     cfg = ExperimentConfig(kind="clock", n=4, trials=30, seed=5,
                            lam=Fraction(1, 32), out=str(tmp_path / "a.csv"))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,7 @@ from neuroram.similarity import (
     LOCK_INACTIVE, LOCK_OK, LOCK_UNSTABLE,
     build_comparator_gadget, build_similarity, clamps_for, locked_index_check,
     locked_index_values, miss_bound_chain, sample_count, sampling_miss_count,
-    similarity_positive_count, test_similarity as run_similarity,
+    similarity_once, similarity_positive_count,
 )
 
 LAM = Fraction(1, 32)
@@ -148,11 +149,23 @@ def test_all_zero_inputs_output_zero(sim16):
     assert locked_index_check(trace, layout) == LOCK_INACTIVE
 
 
+@pytest.mark.parametrize("n, eps, c", [(4, 0.5, 4), (16, 0.25, 2)])
+def test_bucket_tail_differences_detected(n, eps, c):
+    # Inputs differ only at the last position of every bucket: the last read
+    # step of each embedded unit must be observed at the read round.
+    net, layout = build_similarity(n, eps, c, LAM)
+    s = math.isqrt(n)
+    x = tuple(int(i % 3 == 0) for i in range(n))
+    tail = tuple(b ^ int(i % s == s - 1) for i, b in enumerate(x))
+    assert similarity_positive_count(net, layout, x, tail, 200, seed=n) >= 0.99 * 200
+    assert similarity_positive_count(net, layout, x, x, 200, seed=n + 1) <= 0.01 * 200
+
+
 def test_single_run_wrapper():
     x1 = (0, 1, 0, 0)
-    assert run_similarity(4, 0.5, x1, x1, seed=9, lam=LAM) == 0
+    assert similarity_once(4, 0.5, x1, x1, seed=9, lam=LAM) == 0
     x2 = (1, 0, 1, 1)
-    assert run_similarity(4, 0.5, x1, x2, seed=9, lam=LAM) == 1
+    assert similarity_once(4, 0.5, x1, x2, seed=9, lam=LAM) == 1
 
 
 # --- locked index ----------------------------------------------------------
