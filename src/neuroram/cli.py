@@ -12,19 +12,18 @@ import sys
 from fractions import Fraction
 
 from .bits import format_bits, hamming, parse_bits
-from .dynamics import default_lambda, run
+from .dynamics import run
 from .errors import InvalidParameterError, ResourceBudgetError, SchemaError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .model import validate
 from .ramnet import IndexInstance, build_neuro_ram, index_hits
 from .serialize import (
-    load_feedforward, load_network, save_circuit, save_feedforward, save_network,
+    load_architecture, load_feedforward, load_network, load_samples, save_circuit,
+    save_feedforward, save_network,
 )
 from .similarity import build_similarity, similarity_positive_count
 from .transforms import distribution_equivalence, sample_threshold_circuit, unroll
-from .vclab import (
-    Gate, VarThresholdArchitecture, circuit_vc_upper, count_dichotomies, sauer_lower,
-)
+from .vclab import circuit_vc_upper, count_dichotomies, sauer_lower
 
 
 def _rational(text: str) -> Fraction:
@@ -49,38 +48,49 @@ def _csv_line(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def cmd_build_neuroram(args) -> int:
-    lam = args.lam if args.lam is not None else default_lambda(args.n)
-    net, _ = build_neuro_ram(args.n, with_reset=args.reset, lam=lam)
+def _pattern(args, flag: str) -> tuple[int, ...]:
+    """The bits of ``--flag``, which must number ``--n``."""
+    bits = parse_bits(getattr(args, flag))
+    if len(bits) != args.n:
+        raise InvalidParameterError(f"--{flag} has {len(bits)} bits but --n is {args.n}")
+    return bits
+
+
+def _input_clamps(net, text: str) -> dict[int, int]:
+    """One clamp bit per input neuron of ``net``, in id order."""
+    bits = parse_bits(text)
+    if len(bits) != len(net.input_ids):
+        raise InvalidParameterError(
+            f"network has {len(net.input_ids)} inputs, got {len(bits)} bits"
+        )
+    return dict(zip(net.input_ids, bits))
+
+
+def _save_valid(net, out: str, detail: str) -> int:
+    """Save a structurally valid network; print its violations otherwise."""
     problems = validate(net)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         return 1
-    save_network(net, args.out)
-    print(f"wrote {args.out}: {len(net)} neurons, {len(net.synapses)} synapses")
+    save_network(net, out)
+    print(f"wrote {out}: {len(net)} neurons, {detail}")
     return 0
+
+
+def cmd_build_neuroram(args) -> int:
+    net, _ = build_neuro_ram(args.n, with_reset=args.reset, lam=args.lam)
+    return _save_valid(net, args.out, f"{len(net.synapses)} synapses")
 
 
 def cmd_build_similarity(args) -> int:
-    lam = args.lam if args.lam is not None else default_lambda(args.n)
-    net, layout = build_similarity(args.n, args.eps, args.c, lam)
-    problems = validate(net)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    save_network(net, args.out)
-    print(f"wrote {args.out}: {len(net)} neurons, K={layout.k} probe pairs")
-    return 0
+    net, layout = build_similarity(args.n, args.eps, args.c, args.lam)
+    return _save_valid(net, args.out, f"K={layout.k} probe pairs")
 
 
 def cmd_index(args) -> int:
-    x = parse_bits(args.x)
-    if len(x) != args.n:
-        raise InvalidParameterError(f"--x has {len(x)} bits but --n is {args.n}")
-    lam = args.lam if args.lam is not None else default_lambda(args.n)
-    net, layout = build_neuro_ram(args.n, lam=lam)
+    x = _pattern(args, "x")
+    net, layout = build_neuro_ram(args.n, lam=args.lam)
     inst = IndexInstance(x, parse_bits(args.y))
     hits = index_hits(net, layout, inst, args.trials, args.seed)
     print(_csv_line(("n", "x", "y", "truth", "trials", "successes")))
@@ -89,9 +99,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    lam = args.lam if args.lam is not None else default_lambda(args.n)
-    x1, x2 = parse_bits(args.x1), parse_bits(args.x2)
-    net, layout = build_similarity(args.n, args.eps, args.c, lam)
+    x1, x2 = _pattern(args, "x1"), _pattern(args, "x2")
+    net, layout = build_similarity(args.n, args.eps, args.c, args.lam)
     positives = similarity_positive_count(net, layout, x1, x2, args.trials, args.seed)
     print(_csv_line(("n", "eps", "hamming", "trials", "positives")))
     print(_csv_line((args.n, args.eps, hamming(x1, x2), args.trials, positives)))
@@ -100,13 +109,7 @@ def cmd_similarity(args) -> int:
 
 def cmd_run(args) -> int:
     net = load_network(args.net)
-    bits = parse_bits(args.inputs)
-    if len(bits) != len(net.input_ids):
-        raise InvalidParameterError(
-            f"network has {len(net.input_ids)} inputs, got {len(bits)} bits"
-        )
-    clamps = dict(zip(net.input_ids, bits))
-    trace = run(net, clamps, args.rounds, args.seed)
+    trace = run(net, _input_clamps(net, args.inputs), args.rounds, args.seed)
     print(_csv_line(("round", "fired")))
     for state in trace.states:
         print(_csv_line((state.round, format_bits(state.fired))))
@@ -134,9 +137,8 @@ def cmd_derandomize(args) -> int:
 
 def cmd_equiv(args) -> int:
     net = load_network(args.net)
-    bits = parse_bits(args.inputs)
-    clamps = dict(zip(net.input_ids, bits))
-    rep = distribution_equivalence(net, clamps, args.t, args.trials, args.seed)
+    rep = distribution_equivalence(net, _input_clamps(net, args.inputs), args.t, args.trials,
+                                   args.seed)
     print(json.dumps({
         "p_network": rep.p_network,
         "p_circuit": rep.p_circuit,
@@ -149,23 +151,9 @@ def cmd_equiv(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _load_arch(path: str) -> VarThresholdArchitecture:
-    doc = json.loads(open(path).read())
-    gates = tuple(
-        Gate(tuple(g["sources"]), tuple(float(w) for w in g["weights"]))
-        for g in doc["gates"]
-    )
-    return VarThresholdArchitecture(
-        d=int(doc["inputs"]), gates=gates, output=int(doc.get("output", len(gates) - 1))
-    )
-
-
 def cmd_vc(args) -> int:
     if args.vc_command == "count":
-        arch = _load_arch(args.arch)
-        doc = json.loads(open(args.samples).read())
-        samples = [tuple(int(b) for b in s) for s in doc["samples"]]
-        print(count_dichotomies(arch, samples))
+        print(count_dichotomies(load_architecture(args.arch), load_samples(args.samples)))
         return 0
     upper = circuit_vc_upper(args.m)
     lower = sauer_lower(args.class_size, args.n)

@@ -26,8 +26,8 @@ from .bits import format_bits, hamming
 from .errors import InvalidParameterError
 from .montecarlo import trial_states
 from .ramnet import (
-    IndexInstance, address_bits, build_neuro_ram, clamps_for,
-    expected_clock_rounds,
+    CLOCK_OK, IndexInstance, address_bits, build_neuro_ram, clamps_for,
+    clock_pattern_status,
 )
 from . import ramnet
 from .randomnets import random_network
@@ -151,16 +151,10 @@ def _clock(cfg: ExperimentConfig) -> ExperimentReport:
     clamps = clamps_for(layout, IndexInstance(x, y))
     states = trial_states(net, [(clamps, layout.rounds + 1)], cfg.trials, cfg.seed,
                           list(layout.clock))
-    expected = expected_clock_rounds(layout, layout.rounds)
     report = ExperimentReport(kind="clock", columns=("n", "trial", "pattern_ok"))
     good = 0
     for k in range(cfg.trials):
-        ok = True
-        for pos, nid in enumerate(layout.clock):
-            got = {t for t in range(layout.rounds + 1) if states[k, t, pos]}
-            if got != expected[nid]:
-                ok = False
-                break
+        ok = clock_pattern_status(states[k], layout) == CLOCK_OK
         good += ok
         report.rows.append((cfg.n, k, int(ok)))
     rate = good / cfg.trials

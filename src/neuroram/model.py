@@ -147,9 +147,6 @@ class NetworkBuilder:
         self._pairs.add((pre, post))
         self._synapses.append(Synapse(pre, post, weight))
 
-    def name_of(self, nid: int) -> str:
-        return self._neurons[nid].name
-
     def build(self, manifest: Mapping[str, int] | None = None) -> Network:
         if manifest is None:
             manifest = {u.name: u.id for u in self._neurons}

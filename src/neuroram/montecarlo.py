@@ -133,6 +133,11 @@ def final_bit_counts(
     seed: int,
     neuron: int,
 ) -> int:
-    """Number of trials in which ``neuron`` fired in the final round."""
+    """Number of trials in which ``neuron`` fired in round ``rounds`` under fixed clamps.
+
+    The one "clamp, run, count final-round fires" path behind
+    :func:`neuroram.ramnet.index_hits` and
+    :func:`neuroram.similarity.similarity_positive_count`.
+    """
     states = trial_states(net, [(clamps, rounds + 1)], trials, seed, [neuron])
     return int(states[:, rounds, 0].sum())

@@ -49,11 +49,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .bits import binary, dec
-from .dynamics import ClampSpec, Trace, default_lambda, run, run_schedule
+from .dynamics import ClampSpec, default_lambda, run, run_schedule
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
-from .montecarlo import trial_states
+from .montecarlo import final_bit_counts
 
 CLOCK_OK = "ok"
 CLOCK_NEVER_STARTED = "never-started"
@@ -106,38 +108,6 @@ class NeuroRamLayout:
         if self.reset is not None:
             count += 1
         return count
-
-    def manifest(self, prefix: str = "") -> dict[str, int]:
-        roles: dict[str, int] = {}
-
-        def put(name: str, ids) -> None:
-            if isinstance(ids, int):
-                roles[prefix + name] = ids
-            else:
-                for k, nid in enumerate(ids):
-                    roles[f"{prefix}{name}[{k}]"] = nid
-
-        put("data", self.data)
-        put("addr", self.addr)
-        put("enc", self.enc)
-        put("addr_on", self.addr_on)
-        put("addr_off", self.addr_off)
-        put("bucket_sel", self.bucket_sel)
-        put("pos_sel", self.pos_sel)
-        put("act", self.activity)
-        put("clk", self.clock)
-        for k, nid in zip(range(1, len(self.stop) + 1), self.stop):
-            roles[f"{prefix}stop[{k}]"] = nid
-        put("trig", self.trigger)
-        put("read_exc", self.read_excite)
-        put("read_inh", self.read_inhibit)
-        put("read_hold", self.read_hold)
-        put("out", self.out)
-        if self.start is not None:
-            put("start", self.start)
-        if self.reset is not None:
-            put("reset", self.reset)
-        return roles
 
 
 @dataclass(frozen=True)
@@ -338,7 +308,7 @@ def build_neuro_ram(
         for j in range(log_n)
     )
     layout = graft_indexing_unit(b, data, addr, with_reset=with_reset)
-    return b.build(layout.manifest()), layout
+    return b.build(), layout
 
 
 @lru_cache(maxsize=16)
@@ -385,9 +355,9 @@ def clamps_for(layout: NeuroRamLayout, instance: IndexInstance) -> dict[int, int
 def index_hits(net: Network, layout: NeuroRamLayout, instance: IndexInstance,
                trials: int, seed: int) -> int:
     """Trials (vectorized) whose output at round ``layout.rounds`` is the addressed bit."""
-    schedule = [(clamps_for(layout, instance), layout.rounds + 1)]
-    states = trial_states(net, schedule, trials, seed, [layout.out])
-    return int((states[:, layout.rounds, 0] == bool(instance.truth)).sum())
+    fired = final_bit_counts(net, clamps_for(layout, instance), layout.rounds, trials, seed,
+                             layout.out)
+    return fired if instance.truth else trials - fired
 
 
 def solve_index(
@@ -423,20 +393,20 @@ def expected_clock_rounds(layout: NeuroRamLayout, horizon: int) -> dict[int, set
     return expected
 
 
-def clock_pattern_status(trace: Trace, layout: NeuroRamLayout, horizon: int | None = None) -> str:
-    """Compare a trace against the nominal one-pulse-per-round clock pattern."""
-    if horizon is None:
-        horizon = layout.rounds
-    horizon = min(horizon, trace.rounds)
-    c0 = layout.clock[0]
-    if not any(trace.fired(t, c0) for t in range(horizon + 1)):
+def clock_pattern_status(fired, layout: NeuroRamLayout) -> str:
+    """Compare clock rows against the nominal one-pulse-per-round pattern.
+
+    ``fired[t][i]`` says whether clk[i] fired in round t: the shape of
+    ``trial_states(..., record=list(layout.clock))[k]``.  Rounds past
+    ``layout.rounds`` are ignored.
+    """
+    rows = np.asarray(fired, dtype=bool)[: layout.rounds + 1]
+    if not rows[:, 0].any():
         return CLOCK_NEVER_STARTED
-    expected = expected_clock_rounds(layout, horizon)
-    for nid, want in expected.items():
-        got = {t for t in range(horizon + 1) if trace.fired(t, nid)}
-        if got != want:
-            return CLOCK_MISMATCH
-    return CLOCK_OK
+    want = np.zeros_like(rows)
+    for pos, rounds in enumerate(expected_clock_rounds(layout, len(rows) - 1).values()):
+        want[sorted(rounds), pos] = True
+    return CLOCK_OK if np.array_equal(rows, want) else CLOCK_MISMATCH
 
 
 def clock_trace_check(
@@ -447,7 +417,9 @@ def clock_trace_check(
 ) -> str:
     """Simulate and classify the clock behavior: ok / never-started / mismatch."""
     trace = run(net, clamps, layout.rounds, seed)
-    return clock_pattern_status(trace, layout)
+    return clock_pattern_status(
+        [[state.fired[c] for c in layout.clock] for state in trace.states], layout
+    )
 
 
 def run_multi_input(

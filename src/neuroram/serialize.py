@@ -17,12 +17,25 @@ from typing import Any
 from .errors import SchemaError
 from .model import Kind, Network, Neuron, Polarity, Synapse
 from .transforms import FeedforwardNetwork, ThresholdCircuit
+from .vclab import Gate, VarThresholdArchitecture
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{path}: missing field '{key}'")
     return obj[key]
+
+
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected an object")
+    return value
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    return value
 
 
 def _parse_int(value: Any, path: str) -> int:
@@ -34,11 +47,22 @@ def _parse_int(value: Any, path: str) -> int:
         raise SchemaError(f"{path}: not a decimal integer: {value!r}") from None
 
 
+def _parse_float(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise SchemaError(f"{path}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise SchemaError(f"{path}: not a number: {value!r}") from None
+
+
 def _read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"root: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # invalid JSON or undecodable text
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 
 def parse_rational(text: Any, path: str = "lambda") -> Fraction:
@@ -75,17 +99,12 @@ def network_to_json(net: Network) -> dict:
 
 
 def network_from_json(doc: Any) -> Network:
-    if not isinstance(doc, dict):
-        raise SchemaError("root: expected an object")
+    _object(doc, "root")
     lam = parse_rational(_require(doc, "lambda", "root"))
-    raw_neurons = _require(doc, "neurons", "root")
-    if not isinstance(raw_neurons, list):
-        raise SchemaError("neurons: expected a list")
     neurons = []
-    for i, item in enumerate(raw_neurons):
+    for i, item in enumerate(_list(_require(doc, "neurons", "root"), "neurons")):
         path = f"neurons[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}: expected an object")
+        _object(item, path)
         try:
             kind = Kind(_require(item, "kind", path))
         except ValueError:
@@ -105,14 +124,10 @@ def network_from_json(doc: Any) -> Network:
                 bias=_parse_int(_require(item, "bias", path), f"{path}.bias"),
             )
         )
-    raw_synapses = _require(doc, "synapses", "root")
-    if not isinstance(raw_synapses, list):
-        raise SchemaError("synapses: expected a list")
     synapses = []
-    for i, item in enumerate(raw_synapses):
+    for i, item in enumerate(_list(_require(doc, "synapses", "root"), "synapses")):
         path = f"synapses[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}: expected an object")
+        _object(item, path)
         synapses.append(
             Synapse(
                 pre=_parse_int(_require(item, "pre", path), f"{path}.pre"),
@@ -122,9 +137,8 @@ def network_from_json(doc: Any) -> Network:
         )
     manifest = doc.get("manifest")
     if manifest is not None:
-        if not isinstance(manifest, dict):
-            raise SchemaError("manifest: expected an object or null")
-        manifest = {str(k): _parse_int(v, f"manifest[{k!r}]") for k, v in manifest.items()}
+        manifest = {str(k): _parse_int(v, f"manifest[{k!r}]")
+                    for k, v in _object(manifest, "manifest").items()}
     try:
         return Network(lam, neurons, synapses, manifest)
     except ValueError as exc:
@@ -151,9 +165,7 @@ def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
 
 def feedforward_from_json(doc: Any) -> FeedforwardNetwork:
     net = network_from_json(doc)
-    raw = _require(doc, "feedforward", "root")
-    if not isinstance(raw, dict):
-        raise SchemaError("feedforward: expected an object")
+    raw = _object(_require(doc, "feedforward", "root"), "feedforward")
     inputs = tuple(_parse_int(v, "feedforward.inputs") for v in _require(raw, "inputs", "feedforward"))
     layers = tuple(
         tuple(_parse_int(v, f"feedforward.layers[{i}]") for v in layer)
@@ -194,3 +206,35 @@ def save_circuit(tc: ThresholdCircuit, path: str | Path) -> None:
 
 def load_circuit(path: str | Path) -> ThresholdCircuit:
     return circuit_from_json(_read_json(path))
+
+
+def architecture_from_json(doc: Any) -> VarThresholdArchitecture:
+    """``{"inputs": d, "gates": [{"sources": [...], "weights": [...]}, ...], "output": k}``;
+    ``output`` defaults to the last gate."""
+    _object(doc, "root")
+    gates = []
+    for k, item in enumerate(_list(_require(doc, "gates", "root"), "gates")):
+        path = f"gates[{k}]"
+        _object(item, path)
+        gates.append(Gate(
+            tuple(_parse_int(v, f"{path}.sources")
+                  for v in _list(_require(item, "sources", path), f"{path}.sources")),
+            tuple(_parse_float(v, f"{path}.weights")
+                  for v in _list(_require(item, "weights", path), f"{path}.weights")),
+        ))
+    return VarThresholdArchitecture(
+        d=_parse_int(_require(doc, "inputs", "root"), "inputs"),
+        gates=tuple(gates),
+        output=_parse_int(doc.get("output", len(gates) - 1), "output"),
+    )
+
+
+def load_architecture(path: str | Path) -> VarThresholdArchitecture:
+    return architecture_from_json(_read_json(path))
+
+
+def load_samples(path: str | Path) -> list[tuple[int, ...]]:
+    """Sample bit vectors from ``{"samples": [[0, 1, ...], ...]}``."""
+    raw = _list(_require(_object(_read_json(path), "root"), "samples", "root"), "samples")
+    return [tuple(_parse_int(b, f"samples[{i}]") for b in _list(s, f"samples[{i}]"))
+            for i, s in enumerate(raw)]

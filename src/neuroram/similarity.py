@@ -34,7 +34,7 @@ from .bits import dec
 from .dynamics import Trace, default_lambda, run
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
-from .montecarlo import trial_states
+from .montecarlo import final_bit_counts
 from .ramnet import NeuroRamLayout, dimension, graft_indexing_unit
 
 LOCK_OK = "ok"
@@ -61,31 +61,6 @@ class SimilarityLayout:
     @property
     def read_round(self) -> int:
         return 5 * dimension(self.n) + 3
-
-    def manifest(self) -> dict[str, int]:
-        roles: dict[str, int] = {}
-        for i, nid in enumerate(self.x1):
-            roles[f"x1[{i}]"] = nid
-        for i, nid in enumerate(self.x2):
-            roles[f"x2[{i}]"] = nid
-        roles["lock"] = self.lock
-        for k in range(self.k):
-            for j, nid in enumerate(self.index[k]):
-                roles[f"idx{k}[{j}]"] = nid
-            roles[f"cmp_any[{k}]"] = self.cmp_any[k]
-            roles[f"cmp_both[{k}]"] = self.cmp_both[k]
-            roles.update(self.units_a[k].manifest(prefix=f"a{k}."))
-            roles.update(self.units_b[k].manifest(prefix=f"b{k}."))
-        # Unit manifests list the shared data/index neurons under their own
-        # prefixes too; drop those aliases in favor of the top-level names.
-        for k in range(self.k):
-            for pre, unit in ((f"a{k}.", self.units_a[k]), (f"b{k}.", self.units_b[k])):
-                for i in range(len(unit.data)):
-                    roles.pop(f"{pre}data[{i}]", None)
-                for j in range(len(unit.addr)):
-                    roles.pop(f"{pre}addr[{j}]", None)
-        roles["out"] = self.out
-        return roles
 
 
 def sample_count(n: int, eps: float, c: float = 2.0) -> int:
@@ -163,7 +138,7 @@ def build_similarity(
         index=tuple(index), units_a=tuple(units_a), units_b=tuple(units_b),
         lock=lock, cmp_any=tuple(cmp_any), cmp_both=tuple(cmp_both), out=out,
     )
-    return b.build(layout.manifest()), layout
+    return b.build(), layout
 
 
 def build_comparator_gadget(lam: Fraction = Fraction(1, 32)) -> tuple[Network, dict[str, int]]:
@@ -219,10 +194,9 @@ def similarity_positive_count(
     seed: int,
 ) -> int:
     """Trials (vectorized) in which the output fired at the read round."""
-    states = trial_states(
-        net, [(clamps_for(layout, x1, x2), layout.read_round + 1)], trials, seed, [layout.out]
+    return final_bit_counts(
+        net, clamps_for(layout, x1, x2), layout.read_round, trials, seed, layout.out
     )
-    return int(states[:, layout.read_round, 0].sum())
 
 
 def locked_index_check(trace: Trace, layout: SimilarityLayout) -> str:

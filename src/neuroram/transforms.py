@@ -233,12 +233,15 @@ def distribution_equivalence(
     """
     if trials < 10_000:
         raise InvalidParameterError(f"need at least 1e4 trials, got {trials}")
+    if set(input_bits) != set(net.input_ids):
+        raise InvalidParameterError(
+            f"clamps must cover exactly the inputs {list(net.input_ids)}, got {sorted(input_bits)}"
+        )
     ff = unroll(net, t)
     out = net.output_ids[0]
     states = trial_states(net, [(input_bits, t + 1)], trials, seed, [out])
     p_net = float(states[:, t, 0].mean())
-    remapped = {new: input_bits.get(old, 0)
-                for old, new in zip(net.input_ids, ff.inputs)}
+    remapped = {new: input_bits[old] for old, new in zip(net.input_ids, ff.inputs)}
     p_circ = _circuit_fire_count(ff, remapped, trials, seed) / trials
     pooled = 0.5 * (p_net + p_circ)
     sigma = math.sqrt(max(pooled * (1.0 - pooled), 1e-12) * 2.0 / trials)

@@ -110,6 +110,47 @@ def test_index_names_data_length_mismatch(capsys):
     assert "--x has 1 bits but --n is 4096" in err
 
 
+def test_similarity_names_pattern_length_mismatch(capsys):
+    code = main(["similarity", "--n", "4", "--eps", "0.5", "--x1", "1010", "--x2", "01"])
+    assert code == 2
+    assert "--x2 has 2 bits but --n is 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["1", "10101"])
+def test_equiv_rejects_wrong_input_count(tmp_path, capsys, bits):
+    path = tmp_path / "net.json"
+    save_network(random_network(2, n_inputs=3, n_aux=3, lam=Fraction(1, 4)), path)
+    code = main(["equiv", "--net", str(path), "--inputs", bits, "--t", "4",
+                 "--trials", "10000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: network has 3 inputs, got {len(bits)} bits" in captured.err
+
+
+def test_run_reports_missing_file(tmp_path, capsys):
+    code = main(["run", "--net", str(tmp_path / "missing.json"), "--inputs", "1",
+                 "--rounds", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "missing.json" in err
+
+
+@pytest.mark.parametrize("arch_text, message", [
+    ("{not json", "invalid JSON"),
+    ("{}", "missing field 'gates'"),
+])
+def test_vc_count_reports_bad_architecture_file(tmp_path, capsys, arch_text, message):
+    arch_path = tmp_path / "arch.json"
+    samples_path = tmp_path / "s.json"
+    arch_path.write_text(arch_text)
+    samples_path.write_text(json.dumps({"samples": [[0, 0]]}))
+    code = main(["vc", "count", "--arch", str(arch_path), "--samples", str(samples_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_experiment_clock_and_csv_stability(tmp_path):
     cfg = ExperimentConfig(kind="clock", n=4, trials=30, seed=5,
                            lam=Fraction(1, 32), out=str(tmp_path / "a.csv"))

@@ -12,7 +12,7 @@ from neuroram.montecarlo import trial_states
 from neuroram.ramnet import (
     CLOCK_MISMATCH, CLOCK_NEVER_STARTED, CLOCK_OK,
     IndexInstance, address_bits, address_of, build_neuro_ram, check_weight_fact,
-    clamps_for, clock_trace_check, dimension, expected_clock_rounds,
+    clamps_for, clock_pattern_status, clock_trace_check, dimension, expected_clock_rounds,
     expected_encoding_potential, run_multi_input, solve_index,
 )
 
@@ -81,6 +81,20 @@ def test_manifest_covers_network_and_counts_auxiliaries(ram16):
     assert sorted(net.manifest.values()) == list(range(len(net)))
     actual_aux = sum(1 for u in net.neurons if u.kind is Kind.AUXILIARY)
     assert actual_aux == layout.aux_count == 17 * 4 + 2 * 4 + 1
+
+
+def test_manifest_is_the_builder_names_in_id_order():
+    for reset in (False, True):
+        net, layout = build_neuro_ram(16, with_reset=reset, lam=LAM)
+        assert net.manifest == {u.name: u.id for u in net.neurons}
+        assert list(net.manifest.values()) == list(range(len(net)))
+        roles = net.manifest
+        assert roles["clk[3]"] == layout.clock[3]
+        assert roles["stop[1]"] == layout.stop[0]
+        assert roles["trig[1]"] == layout.trigger[1]
+        assert roles["data[5]"] == layout.data[5] and roles["addr[2]"] == layout.addr[2]
+        assert roles["act"] == layout.activity and roles["out"] == layout.out
+        assert ("reset" in roles) == reset and roles.get("reset") == layout.reset
 
 
 def test_inhibitors_have_only_nonpositive_outgoing(ram16):
@@ -273,6 +287,26 @@ def test_clock_mismatch_detected_when_chain_is_cut(ram4):
     broken = Network(net.lam, net.neurons, cut, net.manifest)
     clamps = clamps_for(layout, IndexInstance((1, 1, 0, 0), (0, 0)))
     assert clock_trace_check(broken, layout, clamps, seed=0) == CLOCK_MISMATCH
+
+
+def test_clock_pattern_status_on_trial_engine_rows(ram4, ram16):
+    for net, layout in (ram4, ram16):
+        x = (1,) + (0,) * (layout.n - 1)
+        clamps = clamps_for(layout, IndexInstance(x, (0,) * layout.log_n))
+        states = trial_states(net, [(clamps, layout.rounds + 1)], 20, seed=3,
+                              record=list(layout.clock))
+        assert all(clock_pattern_status(states[k], layout) == CLOCK_OK for k in range(20))
+        assert clock_pattern_status(np.zeros_like(states[0]), layout) == CLOCK_NEVER_STARTED
+
+
+def test_clock_pattern_status_flags_a_cut_chain_in_trial_rows(ram4):
+    net, layout = ram4
+    cut = [s for s in net.synapses if not (s.pre == layout.clock[2] and s.post == layout.clock[3])]
+    broken = Network(net.lam, net.neurons, cut, net.manifest)
+    clamps = clamps_for(layout, IndexInstance((1, 1, 0, 0), (0, 0)))
+    states = trial_states(broken, [(clamps, layout.rounds + 1)], 20, seed=0,
+                          record=list(layout.clock))
+    assert all(clock_pattern_status(states[k], layout) == CLOCK_MISMATCH for k in range(20))
 
 
 def test_expected_clock_pattern_shape(ram4):

@@ -9,7 +9,8 @@ from neuroram.ramnet import build_neuro_ram
 from neuroram.randomnets import random_network
 from neuroram.serialize import (
     circuit_from_json, circuit_to_json, feedforward_from_json, feedforward_to_json,
-    load_network, network_from_json, network_to_json, save_network,
+    architecture_from_json, load_network, load_samples, network_from_json, network_to_json,
+    save_network,
 )
 from neuroram.transforms import (
     eval_threshold_circuit, sample_threshold_circuit, unroll,
@@ -71,6 +72,37 @@ def test_invalid_json_is_a_schema_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load_network(path)
+
+
+def test_unreadable_path_is_a_schema_error(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read"):
+        load_network(tmp_path / "missing.json")
+    with pytest.raises(SchemaError, match="cannot read"):
+        load_network(tmp_path)
+
+
+def test_architecture_and_samples_fields_name_their_paths(tmp_path):
+    arch = architecture_from_json(
+        {"inputs": 2, "gates": [{"sources": [0, 1], "weights": [1, "2.5"]}]})
+    assert (arch.d, arch.output, arch.gates[0].weights) == (2, 0, (1.0, 2.5))
+    with pytest.raises(SchemaError, match="missing field 'gates'"):
+        architecture_from_json({})
+    with pytest.raises(SchemaError, match=r"gates\[0\]: missing field 'weights'"):
+        architecture_from_json({"inputs": 2, "gates": [{"sources": [0]}]})
+    with pytest.raises(SchemaError, match=r"gates\[0\].weights"):
+        architecture_from_json({"inputs": 2, "gates": [{"sources": [0], "weights": [None]}]})
+    with pytest.raises(SchemaError, match="inputs"):
+        architecture_from_json({"inputs": "two", "gates": [{"sources": [0], "weights": [1]}]})
+
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"samples": [[0, 1], [1, "1"]]}))
+    assert load_samples(path) == [(0, 1), (1, 1)]
+    path.write_text(json.dumps({"samples": [[0, 1], 3]}))
+    with pytest.raises(SchemaError, match=r"samples\[1\]"):
+        load_samples(path)
+    path.write_text(json.dumps([]))
+    with pytest.raises(SchemaError, match="root"):
+        load_samples(path)
 
 
 def test_lambda_rational_forms():

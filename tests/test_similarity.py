@@ -65,6 +65,21 @@ def test_build_validates_and_counts_pairs(sim16):
     assert sorted(net.manifest.values()) == list(range(len(net)))
 
 
+def test_manifest_is_the_builder_names_in_id_order(sim4):
+    net, layout = sim4
+    assert net.manifest == {u.name: u.id for u in net.neurons}
+    assert list(net.manifest.values()) == list(range(len(net)))
+    roles = net.manifest
+    unit = layout.units_a[0]
+    assert roles["a0.trig[1]"] == unit.trigger[1]
+    assert roles["a0.clk[3]"] == unit.clock[3]
+    assert roles["b1.stop[1]"] == layout.units_b[1].stop[0]
+    assert roles["x1[2]"] == layout.x1[2] == unit.data[2]
+    assert roles["idx0[1]"] == layout.index[0][1] == unit.addr[1]
+    assert roles["cmp_any[0]"] == layout.cmp_any[0] and roles["out"] == layout.out
+    assert "a0.data[0]" not in roles and "a0.addr[0]" not in roles
+
+
 def test_index_neurons_bias_zero_self_loop_two(sim16):
     net, layout = sim16
     for group in layout.index:

@@ -175,6 +175,17 @@ def test_equivalence_rejects_small_trial_counts():
         distribution_equivalence(net, {}, t=3, trials=100, seed=0)
 
 
+def test_equivalence_clamps_exactly_the_inputs():
+    net = random_network(2, n_inputs=3, n_aux=3, lam=Fraction(1, 4))
+    first, *_ = net.input_ids
+    with pytest.raises(InvalidParameterError, match="exactly the inputs"):
+        distribution_equivalence(net, {first: 1}, t=4, trials=10_000, seed=0)
+    aux = next(u.id for u in net.neurons if u.kind is Kind.AUXILIARY)
+    full = {u: 1 for u in net.input_ids}
+    with pytest.raises(InvalidParameterError, match="exactly the inputs"):
+        distribution_equivalence(net, {**full, aux: 0}, t=4, trials=10_000, seed=0)
+
+
 def test_joint_layer_distribution_total_variation():
     # Full joint law of the last layer's state, network vs sampled circuits,
     # within TV 0.02 at 1e5 samples (3 non-input neurons -> 8 atoms).
