@@ -6,6 +6,14 @@ simulates batches of trials as dense state matrices against a sparse weight
 matrix, with the exact engine's firing law; only the randomness stream
 differs (seeded numpy Philox here, counter-based hashes there).
 
+Inputs clamped in every schedule window are never simulated: their
+synaptic drive, minus the bias, is one constant vector per window, and
+round t adds the vector of round t-1's window, because round t's potential
+sees round t-1's state.  Every other neuron is simulated, and uniforms are
+drawn only for those, one (trials, simulated neurons) block per round.  An
+input clamped in some windows only is simulated and overwritten by its
+clamp bit in the rounds where it is clamped.
+
 Potentials stay exact integers in float64.  A neuron whose |bias| + sum|w|
 is below 2**52 sums its weights in one column; a wider one (the encoders
 from n = 4096 on) sums each signed base-2**32 digit of its coefficients in
@@ -38,33 +46,37 @@ DIGIT_BITS = 32
 CARRY = 1 << 20
 
 
-def _coefficients(net: Network) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Weight matrix, bias vector and wide neuron ids; column u < N is neuron u
-    (zero if wide), column N + k * len(wide) + j is digit k of wide neuron j."""
-    n = len(net)
+def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Weight matrix (row v is neuron v) and bias vector over the columns of
+    the ``free`` neurons, and the wide ones' columns: column i is neuron
+    free[i] (zero if wide), column len(free) + k * len(wide) + j is digit k
+    of wide neuron j.  Synapses into inputs are dropped, as in the exact engine."""
     span = [abs(u.bias) for u in net.neurons]
     for s in net.synapses:
         span[s.post] += abs(s.weight)
-    wide = [u for u in range(n) if span[u] >= WIDE]
+    wide = [u for u in free if span[u] >= WIDE]
     count = max(((span[u].bit_length() + DIGIT_BITS - 1) // DIGIT_BITS for u in wide), default=0)
-    col = {u: n + j for j, u in enumerate(wide)}
+    col = {u: i for i, u in enumerate(free)}
+    digit = {u: len(free) + j for j, u in enumerate(wide)}
 
     def split(u: int, value: int) -> list[tuple[int, float]]:
-        if u not in col:
-            return [(u, float(value))]
+        if u not in digit:
+            return [(col[u], float(value))]
         digits = [(abs(value) >> DIGIT_BITS * k) % (1 << DIGIT_BITS) for k in range(count)]
-        return [(col[u] + k * len(wide), float(d if value >= 0 else -d))
+        return [(digit[u] + k * len(wide), float(d if value >= 0 else -d))
                 for k, d in enumerate(digits)]
 
-    bias = np.zeros(n + count * len(wide), dtype=np.float64)
-    for u in net.neurons:
-        for c, v in split(u.id, u.bias):
+    bias = np.zeros(len(free) + count * len(wide), dtype=np.float64)
+    for u in free:
+        for c, v in split(u, net.neurons[u].bias):
             bias[c] = v
-    entries = [(s.pre, c, v) for s in net.synapses for c, v in split(s.post, s.weight)]
+    inputs = set(net.input_ids)
+    entries = [(s.pre, c, v) for s in net.synapses if s.post not in inputs
+               for c, v in split(s.post, s.weight)]
     pre, cols, vals = np.array(entries, dtype=np.float64).reshape(-1, 3).T
     w = sparse.csr_matrix((vals, (pre.astype(np.int64), cols.astype(np.int64))),
-                          shape=(n, bias.size))
-    return w, bias, np.array(wide, dtype=np.int64)
+                          shape=(len(net), bias.size))
+    return w, bias, np.array([col[u] for u in wide], dtype=np.int64)
 
 
 def trial_states(
@@ -78,50 +90,66 @@ def trial_states(
 
     ``schedule`` is a list of (clamps, duration) windows as in
     :func:`neuroram.dynamics.run_schedule`; a fixed clamp for T+1 rounds is
-    ``[(clamps, T + 1)]``.
+    ``[(clamps, T + 1)]``.  ``record`` lists the neuron ids, each in [0, N),
+    whose bits are returned.
     """
     if trials <= 0:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
     check_schedule(net, schedule, seed)
+    n = len(net)
+    if any(not 0 <= u < n for u in record):
+        raise InvalidParameterError(f"record ids must lie in [0, {n}), got {list(record)}")
+
+    # Inputs clamped in every window are "fixed", the rest "free".  The state
+    # has one bool row per neuron, free rows first, and one column per trial.
+    # Per round: (fixed drive - bias, fixed bits, free rows clamped now, bits).
+    folded = set.intersection(*(set(clamps) for clamps, _ in schedule))
+    fixed = sorted(folded)
+    free = sorted(set(range(n)) - folded)
+    nf = len(free)
+    w, bias, wide = _coefficients(net, free)
+    w_free, w_fixed = w[free].T.tocsr(), w[fixed].T.tocsr()
+    pos = np.argsort(free + fixed)  # state row of each neuron
     per_round = []
     for clamps, duration in schedule:
-        window = (np.array(list(clamps), dtype=np.int64),
-                  np.array(list(clamps.values()), dtype=np.float64))
+        fixed_bits = np.array([clamps[u] for u in fixed], dtype=np.float64)
+        others = [u for u in clamps if u not in folded]
+        window = ((w_fixed @ fixed_bits - bias)[:, None], (fixed_bits > 0.5)[:, None],
+                  pos[others], np.array([clamps[u] for u in others], dtype=bool)[:, None])
         per_round.extend([window] * duration)
     rounds = len(per_round) - 1
-
-    n = len(net)
-    w, bias, wide = _coefficients(net)
     inv_lam = float(1 / net.lam)
-    rec = np.array(record, dtype=np.int64)
+    rec = pos[np.array(record, dtype=np.int64)]
 
     out = np.empty((trials, rounds + 1, len(record)), dtype=bool)
     for lo in range(0, trials, BATCH):
         hi = min(lo + BATCH, trials)
         b = hi - lo
         gen = np.random.default_rng([seed, lo // BATCH])
-        state = np.zeros((b, n), dtype=np.float64)
-        idx0, bits0 = per_round[0]
-        state[:, idx0] = bits0
-        out[lo:hi, 0, :] = state[:, rec] > 0.5
-        for t in range(1, rounds + 1):
-            pot = state @ w
-            pot -= bias
-            if wide.size:
-                digits = pot[:, n:].reshape(b, -1, wide.size)
-                v = digits[:, -1]
-                for k in range(digits.shape[1] - 2, -1, -1):
-                    v = np.clip(v, -CARRY, CARRY) * float(1 << DIGIT_BITS) + digits[:, k]
-                pot[:, wide] = v
-            x = pot[:, :n] * inv_lam
-            p = np.where(
-                x > SATURATION, 1.0,
-                np.where(x < -SATURATION, 0.0, 1.0 / (1.0 + np.exp(-np.clip(x, -SATURATION, SATURATION)))),
-            )
-            state = (gen.random((b, n)) < p).astype(np.float64)
-            idx, bv = per_round[t]
-            state[:, idx] = bv
-            out[lo:hi, t, :] = state[:, rec] > 0.5
+        fired = np.zeros((n, b), dtype=bool)
+        for t in range(rounds + 1):
+            if t:
+                # Round t's potential sees round t-1's state, clamps included.
+                pot = w_free @ fired[:nf].astype(np.float64)
+                pot += per_round[t - 1][0]
+                if wide.size:
+                    digits = pot[nf:].reshape(-1, wide.size, b)
+                    v = digits[-1]
+                    for k in range(digits.shape[0] - 2, -1, -1):
+                        v = np.clip(v, -CARRY, CARRY) * float(1 << DIGIT_BITS) + digits[k]
+                    pot[wide] = v
+                # p = sigmoid(pot / lam), exactly 0 below -SATURATION; clipping
+                # at +SATURATION already rounds to exactly 1.
+                neg = pot[:nf]
+                neg *= -inv_lam
+                silent = neg > SATURATION
+                p = 1.0 / (1.0 + np.exp(np.clip(neg, -SATURATION, SATURATION, out=neg)))
+                p[silent] = 0.0
+                np.less(gen.random((b, nf)).T, p, out=fired[:nf])
+            _, fixed_on, idx, bits = per_round[t]
+            fired[nf:] = fixed_on
+            fired[idx] = bits
+            out[lo:hi, t, :] = fired[rec].T
     return out
 
 

@@ -12,9 +12,9 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .errors import SchemaError
+from .errors import InvalidParameterError, SchemaError
 from .model import Kind, Network, Neuron, Polarity, Synapse
 from .transforms import FeedforwardNetwork, ThresholdCircuit
 from .vclab import Gate, VarThresholdArchitecture
@@ -63,6 +63,15 @@ def _read_json(path: str | Path) -> Any:
         raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:  # invalid JSON or undecodable text
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _load(path: str | Path, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` applied to the JSON in ``path``; its errors name the file."""
+    doc = _read_json(path)
+    try:
+        return parse(doc)
+    except (SchemaError, InvalidParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_rational(text: Any, path: str = "lambda") -> Fraction:
@@ -150,7 +159,7 @@ def save_network(net: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_json(_read_json(path))
+    return _load(path, network_from_json)
 
 
 def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
@@ -180,7 +189,7 @@ def save_feedforward(ff: FeedforwardNetwork, path: str | Path) -> None:
 
 
 def load_feedforward(path: str | Path) -> FeedforwardNetwork:
-    return feedforward_from_json(_read_json(path))
+    return _load(path, feedforward_from_json)
 
 
 def circuit_to_json(tc: ThresholdCircuit) -> dict:
@@ -205,7 +214,7 @@ def save_circuit(tc: ThresholdCircuit, path: str | Path) -> None:
 
 
 def load_circuit(path: str | Path) -> ThresholdCircuit:
-    return circuit_from_json(_read_json(path))
+    return _load(path, circuit_from_json)
 
 
 def architecture_from_json(doc: Any) -> VarThresholdArchitecture:
@@ -230,11 +239,15 @@ def architecture_from_json(doc: Any) -> VarThresholdArchitecture:
 
 
 def load_architecture(path: str | Path) -> VarThresholdArchitecture:
-    return architecture_from_json(_read_json(path))
+    return _load(path, architecture_from_json)
+
+
+def _samples_from_json(doc: Any) -> list[tuple[int, ...]]:
+    raw = _list(_require(_object(doc, "root"), "samples", "root"), "samples")
+    return [tuple(_parse_int(b, f"samples[{i}]") for b in _list(s, f"samples[{i}]"))
+            for i, s in enumerate(raw)]
 
 
 def load_samples(path: str | Path) -> list[tuple[int, ...]]:
     """Sample bit vectors from ``{"samples": [[0, 1, ...], ...]}``."""
-    raw = _list(_require(_object(_read_json(path), "root"), "samples", "root"), "samples")
-    return [tuple(_parse_int(b, f"samples[{i}]") for b in _list(s, f"samples[{i}]"))
-            for i, s in enumerate(raw)]
+    return _load(path, _samples_from_json)

@@ -71,6 +71,8 @@ def _check_samples(arch: VarThresholdArchitecture, samples: Sequence[tuple[int, 
     for s in samples:
         if len(s) != arch.d:
             raise InvalidParameterError(f"sample {s} does not have {arch.d} bits")
+        if any(bit not in (0, 1) for bit in s):
+            raise InvalidParameterError(f"sample {s} has a bit other than 0 or 1")
         if s in seen:
             raise InvalidParameterError(f"duplicate sample {s}")
         seen.add(s)

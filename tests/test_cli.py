@@ -148,7 +148,19 @@ def test_vc_count_reports_bad_architecture_file(tmp_path, capsys, arch_text, mes
     code = main(["vc", "count", "--arch", str(arch_path), "--samples", str(samples_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and str(arch_path) in err
+
+
+def test_vc_count_rejects_non_binary_samples(tmp_path, capsys):
+    arch_path = tmp_path / "arch.json"
+    samples_path = tmp_path / "s.json"
+    arch_path.write_text(json.dumps({"inputs": 2, "gates": [{"sources": [0, 1],
+                                                             "weights": [1.0, 2.0]}]}))
+    samples_path.write_text(json.dumps({"samples": [[2, 0], [0, 1]]}))
+    code = main(["vc", "count", "--arch", str(arch_path), "--samples", str(samples_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "other than 0 or 1" in captured.err
 
 
 def test_experiment_clock_and_csv_stability(tmp_path):

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from neuroram.dynamics import default_lambda, firing_probability, run, run_schedule
 from neuroram.errors import InvalidParameterError
@@ -28,18 +29,22 @@ def test_agrees_with_exact_engine_on_rates():
 
 def test_batching_is_transparent():
     net = random_network(4, n_inputs=1, n_aux=4)
-    clamps = {0: 1}
-    big = trial_states(net, [(clamps, 6)], BATCH + 37, seed=9, record=[net.output_ids[0]])
-    small = trial_states(net, [(clamps, 6)], BATCH, seed=9, record=[net.output_ids[0]])
-    assert np.array_equal(big[:BATCH], small)
+    # the two-window schedule folds input 0, whose bit flips, into each window
+    for schedule in ([({0: 1}, 6)], [({0: 1}, 3), ({0: 0}, 3)]):
+        big = trial_states(net, schedule, BATCH + 37, seed=9, record=list(range(len(net))))
+        small = trial_states(net, schedule, BATCH, seed=9, record=list(range(len(net))))
+        assert np.array_equal(big[:BATCH], small)
 
 
 def test_determinism():
     net = random_network(6, n_inputs=2, n_aux=2)
     clamps = {u: 0 for u in net.input_ids}
-    a = trial_states(net, [(clamps, 4)], 100, seed=1, record=[0, 1, 2])
-    b = trial_states(net, [(clamps, 4)], 100, seed=1, record=[0, 1, 2])
-    assert np.array_equal(a, b)
+    # the two-window schedule flips input 0 and frees input 1
+    for schedule, trials in (([(clamps, 4)], 100),
+                             ([(clamps, 2), ({0: 1}, 3)], BATCH + 37)):
+        a = trial_states(net, schedule, trials, seed=1, record=[0, 1, 2])
+        b = trial_states(net, schedule, trials, seed=1, record=[0, 1, 2])
+        assert np.array_equal(a, b)
 
 
 def test_round_zero_and_clamps_recorded():
@@ -105,12 +110,79 @@ def test_indexing_n4096_through_the_trial_engine():
         assert index_hits(net, layout, inst, 8, seed=k) / 8 >= 0.99, k
 
 
+def _forward_marginals(net, schedule):
+    """Exact Pr[u fires in round t] for every round t and neuron u, from the
+    distribution over all 2**N states pushed through the firing law."""
+    n = len(net)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # state s has bit u = (s >> u) & 1
+    w = np.zeros((n, n), dtype=np.int64)
+    for s in net.synapses:
+        w[s.pre, s.post] = s.weight
+    bias = np.array([u.bias for u in net.neurons], dtype=np.int64)
+    per_round = [clamps for clamps, duration in schedule for _ in range(duration)]
+    dist = np.zeros(2**n)
+    dist[sum(bit << u for u, bit in per_round[0].items())] = 1.0
+    marginals = [dist @ bits]
+    for clamps in per_round[1:]:
+        live = np.flatnonzero(dist)
+        pot = bits[live] @ w - bias
+        law = {int(v): firing_probability(int(v), net.lam) for v in np.unique(pot)}
+        p = np.vectorize(law.__getitem__, otypes=[float])(pot)
+        for u, bit in clamps.items():
+            p[:, u] = bit
+        # next[s'] = sum_s dist[s] * prod_u Pr[u's bit in s' | s], built bit by bit
+        step = np.ones((live.size, 1))
+        for u in range(n):
+            step = np.concatenate([step * (1 - p[:, u:u + 1]), step * p[:, u:u + 1]], axis=1)
+        dist = dist[live] @ step
+        marginals.append(dist @ bits)
+    return np.clip(marginals, 0.0, 1.0)  # sums of products may round past 1
+
+
+# (seed, inputs, auxiliaries, lambda, schedule): input 0 is clamped in every
+# window; in the multi-window schedules its bit changes and input 1 is
+# clamped in some windows and free in others.
+_ORACLE_CASES = {
+    "one-window-N8": (1, 2, 5, Fraction(1, 4), [({0: 1, 1: 0}, 7)]),
+    "one-window-N12-unclamped-input": (2, 3, 8, Fraction(1, 1), [({0: 1, 2: 1}, 6)]),
+    "three-windows-N10": (3, 2, 7, Fraction(1, 2),
+                          [({0: 1, 1: 1}, 3), ({0: 0}, 3), ({0: 1, 1: 0}, 3)]),
+    "two-windows-N12": (5, 3, 8, Fraction(3, 2), [({0: 0, 1: 1, 2: 1}, 4), ({0: 1, 2: 0}, 4)]),
+    "two-windows-N9-cold": (8, 2, 6, Fraction(1, 8), [({0: 1}, 3), ({0: 0, 1: 1}, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+@pytest.mark.parametrize("engine, trials", [("vectorized", 20_000), ("exact", 1_000)])
+def test_per_round_marginals_match_the_exact_forward_distribution(engine, trials, case):
+    seed, inputs, aux, lam, schedule = _ORACLE_CASES[case]
+    net = random_network(seed, n_inputs=inputs, n_aux=aux, lam=lam)
+    want = _forward_marginals(net, schedule)
+    if engine == "vectorized":
+        counts = trial_states(net, schedule, trials, seed, list(range(len(net)))).sum(axis=0)
+    else:
+        counts = sum(np.array([s.fired for s in run_schedule(net, schedule, k).states])
+                     for k in range(trials))
+    # two-sided binomial tail of every marginal, Bonferroni over all of them;
+    # a saturated marginal (0 or 1) must be matched exactly
+    tail = np.minimum(binom.cdf(counts, trials, want), binom.sf(counts - 1, trials, want))
+    worst = np.unravel_index(np.argmin(tail), tail.shape)
+    assert 2 * tail.min() >= 1e-3 / tail.size, (worst, counts[worst] / trials, want[worst])
+
+
 def test_rejects_bad_args():
     net = random_network(6, n_inputs=1, n_aux=1)
     with pytest.raises(InvalidParameterError):
         trial_states(net, [({0: 1}, 3)], 0, seed=0, record=[0])
     with pytest.raises(InvalidParameterError):
         trial_states(net, [({net.output_ids[0]: 1}, 3)], 5, seed=0, record=[0])
+
+
+@pytest.mark.parametrize("record", [[-1], [3], [0, 99]])
+def test_rejects_record_ids_outside_the_network(record):
+    net = random_network(6, n_inputs=1, n_aux=1)  # 3 neurons
+    with pytest.raises(InvalidParameterError, match="record"):
+        trial_states(net, [({0: 1}, 3)], 5, seed=0, record=record)
 
 
 _ENGINES = {

@@ -77,6 +77,11 @@ def test_count_rejects_bad_samples():
         count_dichotomies(arch, [(0, 0), (0, 0)])
     with pytest.raises(InvalidParameterError):
         count_dichotomies(arch, [(0, 0, 1)])
+    # with a bit 2 and weights (2, 1) the search would count 3 labelings
+    # and the oracle 2
+    for count in (count_dichotomies, grid_oracle_count):
+        with pytest.raises(InvalidParameterError, match="other than 0 or 1"):
+            count(single_gate((2.0, 1.0)), [(2, 0), (0, 1)])
 
 
 def test_budget_guard():
