@@ -23,6 +23,7 @@ its randomness source).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -157,22 +158,25 @@ def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundS
     return RoundState(tuple(bits), t)
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_schedule(net: Network, schedule: Sequence[tuple[ClampSpec, int]], seed: int) -> None:
     """Reject what neither engine may run; shared by :func:`run_schedule` and ``trial_states``."""
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+    check_count("seed", seed, 0)
     if not schedule:
         raise InvalidParameterError("schedule must contain at least one window")
     for clamps, duration in schedule:
-        if duration <= 0:
-            raise InvalidParameterError(f"window duration must be positive, got {duration}")
+        check_count("window duration", duration, 1)
         _check_clamps(net, clamps)
 
 
 def run(net: Network, clamps: ClampSpec, rounds: int, seed: int) -> Trace:
     """Simulate rounds 0..rounds under a fixed clamp; pure in (net, clamps, rounds, seed)."""
-    if rounds < 0:
-        raise InvalidParameterError(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds, 0)
     return run_schedule(net, [(clamps, rounds + 1)], seed)
 
 

@@ -70,11 +70,14 @@ class Network:
 
     ``incoming[v]`` lists ``(pre, weight)`` pairs, which is the access
     pattern of the dynamics.  ``manifest`` maps role names to neuron ids
-    when the network came from a builder.
+    when the network came from a builder.  The private ``_operator`` slot
+    memoizes the trial engine's weight operator for the last fold set it
+    ran, filled on first use; it is derived from the fields above and is
+    excluded from equality, ``repr`` and JSON.
     """
 
     __slots__ = ("lam", "neurons", "synapses", "manifest", "incoming",
-                 "input_ids", "output_ids")
+                 "input_ids", "output_ids", "_operator")
 
     def __init__(
         self,
@@ -101,6 +104,7 @@ class Network:
         self.incoming = tuple(tuple(lst) for lst in incoming)
         self.input_ids = tuple(u.id for u in self.neurons if u.kind is Kind.INPUT)
         self.output_ids = tuple(u.id for u in self.neurons if u.kind is Kind.OUTPUT)
+        self._operator = None
 
     def __len__(self) -> int:
         return len(self.neurons)

@@ -12,7 +12,9 @@ round t adds the vector of round t-1's window, because round t's potential
 sees round t-1's state.  Every other neuron is simulated, and uniforms are
 drawn only for those, one (trials, simulated neurons) block per round.  An
 input clamped in some windows only is simulated and overwritten by its
-clamp bit in the rounds where it is clamped.
+clamp bit in the rounds where it is clamped.  The weight operator this
+needs is built once per network and fold set (the inputs clamped in every
+window), on first use, and kept on the network.
 
 Potentials stay exact integers in float64.  A neuron whose |bias| + sum|w|
 is below 2**52 sums its weights in one column; a wider one (the encoders
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .dynamics import SATURATION, ClampSpec, check_schedule
+from .dynamics import SATURATION, ClampSpec, check_count, check_schedule
 from .errors import InvalidParameterError
 from .model import Network
 
@@ -44,6 +46,17 @@ WIDE = 1 << 52
 # CARRY * 2**DIGIT_BITS plus a digit sum below 2**51 stays below 2**53.
 DIGIT_BITS = 32
 CARRY = 1 << 20
+DIGIT_MASK = (1 << DIGIT_BITS) - 1
+
+
+def _digits(values: np.ndarray, count: int) -> np.ndarray:
+    """Signed base-2**DIGIT_BITS digits of the integers in object array
+    ``values``, least significant first: shape (count, len(values))."""
+    magnitude, sign = np.abs(values), np.where(values < 0, -1, 1)
+    out = np.empty((count, values.size), dtype=np.float64)
+    for k in range(count):
+        out[k] = ((magnitude >> DIGIT_BITS * k) & DIGIT_MASK).astype(np.int64) * sign
+    return out
 
 
 def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
@@ -51,32 +64,57 @@ def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.
     the ``free`` neurons, and the wide ones' columns: column i is neuron
     free[i] (zero if wide), column len(free) + k * len(wide) + j is digit k
     of wide neuron j.  Synapses into inputs are dropped, as in the exact engine."""
-    span = [abs(u.bias) for u in net.neurons]
-    for s in net.synapses:
-        span[s.post] += abs(s.weight)
-    wide = [u for u in free if span[u] >= WIDE]
-    count = max(((span[u].bit_length() + DIGIT_BITS - 1) // DIGIT_BITS for u in wide), default=0)
-    col = {u: i for i, u in enumerate(free)}
-    digit = {u: len(free) + j for j, u in enumerate(wide)}
+    n, nf = len(net), len(free)
+    free = np.asarray(free, dtype=np.int64)
+    pre = np.fromiter((s.pre for s in net.synapses), np.int64, len(net.synapses))
+    post = np.fromiter((s.post for s in net.synapses), np.int64, len(net.synapses))
+    weight = np.array([s.weight for s in net.synapses], dtype=object)
+    bias = np.array([u.bias for u in net.neurons], dtype=object)
+    span = np.abs(bias)
+    np.add.at(span, post, np.abs(weight))
+    bias = bias[free]
+    wide = np.flatnonzero(span[free] >= WIDE)  # positions in free
+    count = -(-max((int(v).bit_length() for v in span[free[wide]]), default=0) // DIGIT_BITS)
+    col = np.full(n, -1, dtype=np.int64)
+    col[free] = np.arange(nf)
+    digit = np.full(n, -1, dtype=np.int64)
+    digit[free[wide]] = nf + np.arange(wide.size)
 
-    def split(u: int, value: int) -> list[tuple[int, float]]:
-        if u not in digit:
-            return [(col[u], float(value))]
-        digits = [(abs(value) >> DIGIT_BITS * k) % (1 << DIGIT_BITS) for k in range(count)]
-        return [(digit[u] + k * len(wide), float(d if value >= 0 else -d))
-                for k, d in enumerate(digits)]
+    kept = np.ones(n, dtype=bool)
+    kept[list(net.input_ids)] = False
+    narrow = kept[post] & (digit[post] < 0)
+    into_wide = kept[post] & (digit[post] >= 0)
+    offsets = (wide.size * np.arange(count))[:, None]
+    rows = np.concatenate([pre[narrow], np.tile(pre[into_wide], count)])
+    cols = np.concatenate([col[post[narrow]], (digit[post[into_wide]] + offsets).ravel()])
+    vals = np.concatenate([weight[narrow].astype(np.float64),
+                           _digits(weight[into_wide], count).ravel()])
+    w = sparse.csr_matrix((vals, (rows, cols)), shape=(n, nf + count * wide.size))
+    narrow_bias = np.where(digit[free] < 0, bias, 0).astype(np.float64)
+    return w, np.concatenate([narrow_bias, _digits(bias[wide], count).ravel()]), wide
 
-    bias = np.zeros(len(free) + count * len(wide), dtype=np.float64)
-    for u in free:
-        for c, v in split(u, net.neurons[u].bias):
-            bias[c] = v
-    inputs = set(net.input_ids)
-    entries = [(s.pre, c, v) for s in net.synapses if s.post not in inputs
-               for c, v in split(s.post, s.weight)]
-    pre, cols, vals = np.array(entries, dtype=np.float64).reshape(-1, 3).T
-    w = sparse.csr_matrix((vals, (pre.astype(np.int64), cols.astype(np.int64))),
-                          shape=(len(net), bias.size))
-    return w, bias, np.array([col[u] for u in wide], dtype=np.int64)
+
+def _operator(net: Network, fixed: tuple[int, ...]) -> tuple:
+    """(w_free, w_fixed, bias, wide, pos) for the fold set ``fixed``: the
+    transposed weights from the free and the fixed rows, the bias and wide
+    columns of :func:`_coefficients`, and the state row of each neuron.
+
+    The last one built is kept in ``net._operator`` with its fold set, so
+    repeated calls with the same fold set build it once; its arrays are
+    read-only, as every call shares them.
+    """
+    memo = net._operator
+    if memo is not None and memo[0] == fixed:
+        return memo[1]
+    free = sorted(set(range(len(net))) - set(fixed))
+    w, bias, wide = _coefficients(net, free)
+    w_free, w_fixed = w[free].T.tocsr(), w[list(fixed)].T.tocsr()
+    pos = np.argsort(free + list(fixed))
+    for a in (w_free.data, w_fixed.data, bias, wide, pos):
+        a.setflags(write=False)
+    operator = (w_free, w_fixed, bias, wide, pos)
+    net._operator = (fixed, operator)
+    return operator
 
 
 def trial_states(
@@ -93,8 +131,7 @@ def trial_states(
     ``[(clamps, T + 1)]``.  ``record`` lists the neuron ids, each in [0, N),
     whose bits are returned.
     """
-    if trials <= 0:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
+    check_count("trials", trials, 1)
     check_schedule(net, schedule, seed)
     n = len(net)
     if any(not 0 <= u < n for u in record):
@@ -104,12 +141,9 @@ def trial_states(
     # has one bool row per neuron, free rows first, and one column per trial.
     # Per round: (fixed drive - bias, fixed bits, free rows clamped now, bits).
     folded = set.intersection(*(set(clamps) for clamps, _ in schedule))
-    fixed = sorted(folded)
-    free = sorted(set(range(n)) - folded)
-    nf = len(free)
-    w, bias, wide = _coefficients(net, free)
-    w_free, w_fixed = w[free].T.tocsr(), w[fixed].T.tocsr()
-    pos = np.argsort(free + fixed)  # state row of each neuron
+    fixed = tuple(sorted(folded))
+    nf = n - len(fixed)
+    w_free, w_fixed, bias, wide, pos = _operator(net, fixed)
     per_round = []
     for clamps, duration in schedule:
         fixed_bits = np.array([clamps[u] for u in fixed], dtype=np.float64)

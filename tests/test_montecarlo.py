@@ -8,9 +8,11 @@ from scipy.stats import binom
 from neuroram.dynamics import default_lambda, firing_probability, run, run_schedule
 from neuroram.errors import InvalidParameterError
 from neuroram.model import Kind, NetworkBuilder, Polarity
-from neuroram.montecarlo import BATCH, final_bit_counts, trial_states
+from neuroram.montecarlo import BATCH, _coefficients, _operator, final_bit_counts, trial_states
 from neuroram.ramnet import IndexInstance, _cached_ram, address_bits, index_hits
 from neuroram.randomnets import random_network
+from neuroram.serialize import network_from_json, network_to_json, save_network
+from neuroram.similarity import build_similarity
 
 
 def test_agrees_with_exact_engine_on_rates():
@@ -91,6 +93,80 @@ def test_wide_column_rates_follow_the_exact_potential(e):
             assert rate == want, (bits, rate)
         else:
             assert abs(rate - want) < 0.02, (bits, rate, want)
+
+
+def _mixed_sign_net(e):
+    """Output u with bias 2**96 + 1 (middle digits zero), excitatory inputs
+    x0 (weight 2**96 + 2**e + 1) and x1 (weight 1), and an inhibitory relay h
+    (weight -(2**e + 1)) that copies input x2 from round 1 on."""
+    lam = Fraction(1, 2)
+    b = NetworkBuilder(lam)
+    xs = [b.add_neuron(f"x{i}", Kind.INPUT, Polarity.EXCITATORY, 0) for i in range(3)]
+    h = b.add_neuron("h", Kind.AUXILIARY, Polarity.INHIBITORY, 21)
+    u = b.add_neuron("u", Kind.OUTPUT, Polarity.EXCITATORY, 2**96 + 1)
+    b.add_synapse(xs[2], h, 42)  # pot +-21: saturated at lam = 1/2
+    b.add_synapse(xs[0], u, 2**96 + 2**e + 1)
+    b.add_synapse(xs[1], u, 1)
+    b.add_synapse(h, u, -(2**e + 1))
+    return b.build(), xs, u
+
+
+@pytest.mark.parametrize("e", [40, 70, 130])
+def test_mixed_sign_wide_coefficients_follow_the_exact_potential(e):
+    # Digits of a negative weight carry its sign; with x0 and x2 on, the
+    # potential cancels to x1 - 1 across every digit.
+    net, xs, u = _mixed_sign_net(e)
+    for bits in product((0, 1), repeat=3):
+        pot = bits[0] * (2**96 + 2**e + 1) + bits[1] - bits[2] * (2**e + 1) - (2**96 + 1)
+        want = firing_probability(pot, net.lam)
+        states = trial_states(net, [(dict(zip(xs, bits)), 6)], 2000, seed=e, record=[u])
+        rate = states[:, 2:, 0].mean()  # u sees x2 through h from round 2 on
+        if want in (0.0, 1.0):
+            assert rate == want, (bits, rate)
+        else:
+            assert abs(rate - want) < 0.02, (bits, rate, want)
+
+
+def _coefficients_loop(net, free):
+    """Per-synapse reference for ``_coefficients``."""
+    span = [abs(u.bias) for u in net.neurons]
+    for s in net.synapses:
+        span[s.post] += abs(s.weight)
+    wide = [u for u in free if span[u] >= 2**52]
+    count = max((-(-span[u].bit_length() // 32) for u in wide), default=0)
+    col = {u: i for i, u in enumerate(free)}
+
+    def split(u, value):
+        if u not in wide:
+            return [(col[u], value)]
+        return [(len(free) + k * len(wide) + wide.index(u),
+                 (abs(value) >> 32 * k) % 2**32 * (1 if value >= 0 else -1)) for k in range(count)]
+
+    bias = np.zeros(len(free) + count * len(wide))
+    w = np.zeros((len(net), bias.size))
+    for u in free:
+        for c, v in split(u, net.neurons[u].bias):
+            bias[c] = v
+    for s in net.synapses:
+        if not net.is_input(s.post):
+            for c, v in split(s.post, s.weight):
+                w[s.pre, c] = v
+    return w, bias, np.array([col[u] for u in wide], dtype=np.int64)
+
+
+def test_coefficients_match_the_per_synapse_loop():
+    ram, _ = _cached_ram(16, False, default_lambda(16))
+    sim, layout = build_similarity(16, 0.25, 2.0, Fraction(1, 32))
+    cases = [(ram, ram.input_ids), (ram, ()), (sim, layout.x1 + layout.x2),
+             (_mixed_sign_net(70)[0], (0, 1, 2)), (_mixed_sign_net(130)[0], (1,))]
+    cases += [(random_network(s, n_inputs=3, n_aux=6), fixed)
+              for s in range(3) for fixed in ((0, 1, 2), (0, 2), ())]
+    for net, fixed in cases:
+        free = sorted(set(range(len(net))) - set(fixed))
+        w, bias, wide = _coefficients(net, free)
+        want_w, want_bias, want_wide = _coefficients_loop(net, free)
+        assert np.array_equal(w.toarray(), want_w)
+        assert np.array_equal(bias, want_bias) and np.array_equal(wide, want_wide)
 
 
 def test_indexing_n4096_through_the_trial_engine():
@@ -176,6 +252,9 @@ def test_rejects_bad_args():
         trial_states(net, [({0: 1}, 3)], 0, seed=0, record=[0])
     with pytest.raises(InvalidParameterError):
         trial_states(net, [({net.output_ids[0]: 1}, 3)], 5, seed=0, record=[0])
+    for trials in (2.5, True):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            trial_states(net, [({0: 1}, 3)], trials, seed=0, record=[0])
 
 
 @pytest.mark.parametrize("record", [[-1], [3], [0, 99]])
@@ -200,6 +279,10 @@ _BAD_SCHEDULES = {
     "empty": ([], 0),
     "zero-duration": ([({0: 1}, 2), ({0: 0}, 0)], 0),
     "negative-seed": ([({0: 1}, 3)], -1),
+    "float-seed": ([({0: 1}, 3)], 1.5),
+    "bool-seed": ([({0: 1}, 3)], True),
+    "float-duration": ([({0: 1}, 2.5)], 0),
+    "bool-duration": ([({0: 1}, True)], 0),
 }
 
 
@@ -213,3 +296,34 @@ def test_engines_reject_the_same_bad_schedules(engine, case):
     schedule, seed = _BAD_SCHEDULES[case]
     with pytest.raises(InvalidParameterError):
         _ENGINES[engine](b.build(), schedule, seed)
+
+
+def test_operator_memo_is_transparent(tmp_path):
+    # One network object runs three fold sets in turn (all inputs, inputs 0
+    # and 2, none); each call must match a fresh, never simulated copy.
+    net = random_network(11, n_inputs=3, n_aux=6)
+    schedules = [
+        [({0: 1, 1: 0, 2: 1}, 5)],
+        [({0: 1, 1: 1, 2: 0}, 3), ({0: 0, 2: 1}, 3)],
+        [({0: 1}, 3), ({1: 1, 2: 0}, 3)],
+    ]
+    record = list(range(len(net)))
+    for k in (0, 1, 2, 0, 2, 1, 1):
+        fresh = network_from_json(network_to_json(net))
+        got = trial_states(net, schedules[k], 300, seed=k, record=record)
+        assert np.array_equal(got, trial_states(fresh, schedules[k], 300, seed=k, record=record)), k
+    copy = network_from_json(network_to_json(net))
+    assert net == copy
+    save_network(net, tmp_path / "used.json")
+    save_network(copy, tmp_path / "fresh.json")
+    assert (tmp_path / "used.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_cached_operator_is_read_only():
+    net, xs, u = _mixed_sign_net(70)
+    trial_states(net, [({x: 1 for x in xs}, 3)], 4, seed=0, record=[u])
+    w_free, w_fixed, bias, wide, pos = _operator(net, tuple(xs))
+    assert wide.size == 1
+    for a in (w_free.data, w_fixed.data, bias, wide, pos):
+        with pytest.raises(ValueError):
+            a[0] += 1
