@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -62,13 +63,6 @@ class Trace:
     def fired(self, t: int, u: int) -> int:
         return self.states[t].fired[u]
 
-    def series(self, u: int) -> tuple[int, ...]:
-        """Firing bit of neuron u across all rounds."""
-        return tuple(s.fired[u] for s in self.states)
-
-    def fire_rounds(self, u: int) -> tuple[int, ...]:
-        return tuple(t for t, s in enumerate(self.states) if s.fired[u])
-
 
 def default_lambda(n: int) -> Fraction:
     """Temperature 1/(4*log2 n): unit margins misfire with probability < n**-5."""
@@ -104,9 +98,16 @@ def firing_probability(pot: int, lam: Fraction) -> float:
 
 
 def _check_clamps(net: Network, clamps: ClampSpec) -> None:
+    """Clamp ids must be input ids and bits 0 or 1; the loop only names the offender."""
+    inputs = set(net.input_ids)
+    try:
+        if set(map(operator.index, clamps)) <= inputs and set(clamps.values()) <= {0, 1}:
+            return
+    except TypeError:  # a non-integer id or an unhashable bit
+        pass
     for u, bit in clamps.items():
-        if not (0 <= u < len(net) and net.is_input(u)):
-            raise InvalidParameterError(f"only input neurons may be clamped, got {u}")
+        if not (isinstance(u, numbers.Integral) and u in inputs):
+            raise InvalidParameterError(f"only input neurons may be clamped, got {u!r}")
         if bit not in (0, 1):
             raise InvalidParameterError(f"clamp bit for {u} must be 0 or 1, got {bit!r}")
 

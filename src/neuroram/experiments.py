@@ -23,6 +23,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .bits import format_bits, hamming
+from .dynamics import check_count
 from .errors import InvalidParameterError
 from .montecarlo import trial_states
 from .ramnet import (
@@ -63,6 +64,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidParameterError(f"unknown experiment kind {self.kind!r}")
+        check_count("trials", self.trials, 1)
+        check_count("cases", self.cases, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass

@@ -52,10 +52,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import binary, dec
-from .dynamics import ClampSpec, default_lambda, run, run_schedule
+from .dynamics import default_lambda
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
-from .montecarlo import final_bit_counts
+from .montecarlo import final_bit_counts, trial_states
 
 CLOCK_OK = "ok"
 CLOCK_NEVER_STARTED = "never-started"
@@ -360,20 +360,6 @@ def index_hits(net: Network, layout: NeuroRamLayout, instance: IndexInstance,
     return fired if instance.truth else trials - fired
 
 
-def solve_index(
-    n: int,
-    instance: IndexInstance,
-    seed: int,
-    lam: Fraction | None = None,
-) -> int:
-    """Run the indexing network on one instance; output bit at round 5*sqrt(n)."""
-    if lam is None:
-        lam = default_lambda(n)
-    net, layout = _cached_ram(n, False, Fraction(lam))
-    trace = run(net, clamps_for(layout, instance), layout.rounds, seed)
-    return trace.fired(layout.rounds, layout.out)
-
-
 def expected_clock_rounds(layout: NeuroRamLayout, horizon: int) -> dict[int, set[int]]:
     """Nominal fire rounds of each clock neuron within rounds 0..horizon.
 
@@ -409,26 +395,15 @@ def clock_pattern_status(fired, layout: NeuroRamLayout) -> str:
     return CLOCK_OK if np.array_equal(rows, want) else CLOCK_MISMATCH
 
 
-def clock_trace_check(
-    net: Network,
-    layout: NeuroRamLayout,
-    clamps: ClampSpec,
-    seed: int,
-) -> str:
-    """Simulate and classify the clock behavior: ok / never-started / mismatch."""
-    trace = run(net, clamps, layout.rounds, seed)
-    return clock_pattern_status(
-        [[state.fired[c] for c in layout.clock] for state in trace.states], layout
-    )
-
-
 def run_multi_input(
     net: Network,
     layout: NeuroRamLayout,
     instances: list[IndexInstance],
+    trials: int,
     seed: int,
-) -> tuple[int, ...]:
-    """Present instances back to back; returns the output bit read per window.
+) -> np.ndarray:
+    """Present instances back to back; returns bool array (trials, windows)
+    of the output bit read per window.
 
     Each instance is clamped for 5*sqrt(n) + 1 rounds and the output is
     sampled in the window's last round; the reset neuron clears latched
@@ -436,11 +411,7 @@ def run_multi_input(
     """
     if layout.reset is None:
         raise InvalidParameterError("multi-input runs need a network built with with_reset")
-    if not instances:
-        return ()
     window = layout.rounds + 1
     schedule = [(clamps_for(layout, inst), window) for inst in instances]
-    trace = run_schedule(net, schedule, seed)
-    return tuple(
-        trace.fired((w + 1) * window - 1, layout.out) for w in range(len(instances))
-    )
+    states = trial_states(net, schedule, trials, seed, [layout.out])
+    return states[:, window - 1 :: window, 0]

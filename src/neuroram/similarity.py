@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .bits import dec
-from .dynamics import Trace, default_lambda, run
+from .dynamics import default_lambda
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
 from .montecarlo import final_bit_counts
@@ -61,6 +60,12 @@ class SimilarityLayout:
     @property
     def read_round(self) -> int:
         return 5 * dimension(self.n) + 3
+
+    @property
+    def lock_record(self) -> tuple[int, ...]:
+        """The lock, then every index neuron in probe order: the ``record``
+        that yields the rows of :func:`locked_index_check`."""
+        return (self.lock,) + tuple(y for group in self.index for y in group)
 
 
 def sample_count(n: int, eps: float, c: float = 2.0) -> int:
@@ -167,24 +172,6 @@ def clamps_for(layout: SimilarityLayout, x1: tuple[int, ...], x2: tuple[int, ...
     return clamps
 
 
-_cached_similarity = lru_cache(maxsize=8)(build_similarity)
-
-
-def similarity_once(
-    n: int,
-    eps: float,
-    x1: tuple[int, ...],
-    x2: tuple[int, ...],
-    seed: int,
-    c: float = 2.0,
-    lam: Fraction | None = None,
-) -> int:
-    """One run: 1 if the network flags the patterns as far apart, else 0."""
-    net, layout = _cached_similarity(n, eps, c, lam)
-    trace = run(net, clamps_for(layout, x1, x2), layout.read_round, seed)
-    return trace.fired(layout.read_round, layout.out)
-
-
 def similarity_positive_count(
     net: Network,
     layout: SimilarityLayout,
@@ -199,24 +186,25 @@ def similarity_positive_count(
     )
 
 
-def locked_index_check(trace: Trace, layout: SimilarityLayout) -> str:
-    """Each probe's index pattern must hold steady from round 2 to the read round."""
-    if not trace.fired(1, layout.lock):
+def locked_index_check(fired, layout: SimilarityLayout) -> str:
+    """Each probe's index pattern must hold steady from round 2 to the read round.
+
+    ``fired[t][i]`` says whether ``layout.lock_record[i]`` fired in round t:
+    the shape of ``trial_states(..., record=list(layout.lock_record))[k]``.
+    Rounds past ``layout.read_round`` are ignored.
+    """
+    rows = np.asarray(fired, dtype=bool)[: layout.read_round + 1]
+    if not rows[1, 0]:
         return LOCK_INACTIVE
-    last = min(layout.read_round, trace.rounds)
-    for group in layout.index:
-        for y in group:
-            series = trace.series(y)[2 : last + 1]
-            if len(set(series)) > 1:
-                return LOCK_UNSTABLE
-    return LOCK_OK
+    index = rows[2:, 1:]
+    return LOCK_UNSTABLE if (index != index[:1]).any() else LOCK_OK
 
 
-def locked_index_values(trace: Trace, layout: SimilarityLayout, at_round: int = 2) -> tuple[int, ...]:
-    """The index each probe settled on, read at ``at_round``."""
-    return tuple(
-        dec(tuple(trace.fired(at_round, y) for y in group)) for group in layout.index
-    )
+def locked_index_values(fired, layout: SimilarityLayout, at_round: int = 2) -> tuple[int, ...]:
+    """The index each probe settled on, read at ``at_round`` from rows shaped
+    as for :func:`locked_index_check`."""
+    bits = np.asarray(fired, dtype=bool)[at_round, 1:].reshape(layout.k, -1)
+    return tuple(dec(tuple(int(b) for b in group)) for group in bits)
 
 
 def sampling_miss_count(

@@ -228,6 +228,17 @@ def test_thread_cap_does_not_change_results(monkeypatch):
     assert serial.rows == parallel.rows
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "indexing-sampled", "--n", "4", "--cases", "0"],
+    ["--kind", "indexing-sampled", "--n", "4", "--seed", "-1"],
+    ["--kind", "vc", "--cases", "-1"],
+    ["--kind", "equivalence", "--trials", "-5"],
+])
+def test_experiment_rejects_bad_counts(capsys, argv):
+    assert main(["experiment", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_experiment_rejects_unknown_kind():
     from neuroram.errors import InvalidParameterError
 

@@ -179,9 +179,12 @@ def test_run_repeatable():
 
 
 def test_run_rejects_clamped_non_input():
+    # The error names the offending clamp.
     net = two_neuron_net()
-    with pytest.raises(InvalidParameterError):
-        run(net, {1: 1}, 3, seed=0)
+    with pytest.raises(InvalidParameterError, match="clamped, got 1$"):
+        run(net, {0: 1, 1: 1}, 3, seed=0)
+    with pytest.raises(InvalidParameterError, match="bit for 0 must be 0 or 1, got 2$"):
+        run(net, {0: 2}, 3, seed=0)
 
 
 def test_coin_neuron_empirical_rate():

@@ -273,6 +273,8 @@ _ENGINES = {
 # Neuron 0 is the input, neuron 1 the output.
 _BAD_SCHEDULES = {
     "bit-2": ([({0: 2}, 3)], 0),
+    "unhashable-bit": ([({0: [1]}, 3)], 0),
+    "float-id": ([({0.0: 1}, 3)], 0),
     "non-input": ([({1: 1}, 3)], 0),
     "id-past-end": ([({2: 1}, 3)], 0),
     "negative-id": ([({-1: 1}, 3)], 0),

@@ -12,8 +12,8 @@ from neuroram.montecarlo import trial_states
 from neuroram.ramnet import (
     CLOCK_MISMATCH, CLOCK_NEVER_STARTED, CLOCK_OK,
     IndexInstance, address_bits, address_of, build_neuro_ram, check_weight_fact,
-    clamps_for, clock_pattern_status, clock_trace_check, dimension, expected_clock_rounds,
-    expected_encoding_potential, run_multi_input, solve_index,
+    clamps_for, clock_pattern_status, dimension, expected_clock_rounds,
+    expected_encoding_potential, run_multi_input,
 )
 
 LAM = Fraction(1, 32)
@@ -167,24 +167,30 @@ def test_encoding_matches_builder_weights(ram16):
 
 # --- end-to-end indexing ---------------------------------------------------
 
-def test_solve_index_exhaustive_n4_one_seed():
+def exact_output(net, layout, inst, seed):
+    """Output bit at round ``layout.rounds`` of one exact run."""
+    trace = run(net, clamps_for(layout, inst), layout.rounds, seed)
+    return trace.fired(layout.rounds, layout.out)
+
+
+def test_exact_index_exhaustive_n4_one_seed(ram4):
     for x in product((0, 1), repeat=4):
         for y in product((0, 1), repeat=2):
             inst = IndexInstance(x, y)
-            assert solve_index(4, inst, seed=17, lam=LAM) == inst.truth
+            assert exact_output(*ram4, inst, seed=17) == inst.truth
 
 
-def test_solve_index_single_set_bit_n16():
+def test_exact_index_single_set_bit_n16(ram16):
     x = tuple(int(i == 5) for i in range(16))
     inst = IndexInstance(x, address_bits(16, 5))
-    hits = sum(solve_index(16, inst, seed=s, lam=LAM) for s in range(20))
+    hits = sum(exact_output(*ram16, inst, seed=s) for s in range(20))
     assert hits == 20
 
 
 def test_all_zero_data_outputs_zero(ram16):
     for y in ((0, 0, 0, 0), (1, 0, 1, 1)):
         inst = IndexInstance((0,) * 16, y)
-        assert solve_index(16, inst, seed=3, lam=LAM) == 0
+        assert exact_output(*ram16, inst, seed=3) == 0
 
 
 def test_round_zero_everything_but_inputs_silent(ram16):
@@ -267,18 +273,24 @@ def test_output_persists_once_fired(ram16):
 
 # --- clock -----------------------------------------------------------------
 
+def exact_clock_status(net, layout, clamps, seed):
+    """:func:`clock_pattern_status` on the clock rows of one exact run."""
+    trace = run(net, clamps, layout.rounds, seed)
+    return clock_pattern_status([[s.fired[c] for c in layout.clock] for s in trace.states], layout)
+
+
 def test_clock_ok_on_nonzero_input(ram4, ram16):
     for net, layout in (ram4, ram16):
         x = (1,) + (0,) * (layout.n - 1)
         clamps = clamps_for(layout, IndexInstance(x, (0,) * layout.log_n))
         for seed in range(5):
-            assert clock_trace_check(net, layout, clamps, seed) == CLOCK_OK
+            assert exact_clock_status(net, layout, clamps, seed) == CLOCK_OK
 
 
 def test_clock_never_started_on_zero_input(ram4):
     net, layout = ram4
     clamps = clamps_for(layout, IndexInstance((0,) * 4, (0, 0)))
-    assert clock_trace_check(net, layout, clamps, seed=0) == CLOCK_NEVER_STARTED
+    assert exact_clock_status(net, layout, clamps, seed=0) == CLOCK_NEVER_STARTED
 
 
 def test_clock_mismatch_detected_when_chain_is_cut(ram4):
@@ -286,7 +298,7 @@ def test_clock_mismatch_detected_when_chain_is_cut(ram4):
     cut = [s for s in net.synapses if not (s.pre == layout.clock[2] and s.post == layout.clock[3])]
     broken = Network(net.lam, net.neurons, cut, net.manifest)
     clamps = clamps_for(layout, IndexInstance((1, 1, 0, 0), (0, 0)))
-    assert clock_trace_check(broken, layout, clamps, seed=0) == CLOCK_MISMATCH
+    assert exact_clock_status(broken, layout, clamps, seed=0) == CLOCK_MISMATCH
 
 
 def test_clock_pattern_status_on_trial_engine_rows(ram4, ram16):
@@ -323,7 +335,7 @@ def test_expected_clock_pattern_shape(ram4):
 def test_multi_input_requires_reset(ram4):
     net, layout = ram4
     with pytest.raises(InvalidParameterError):
-        run_multi_input(net, layout, [IndexInstance((1, 0, 0, 0), (0, 0))], seed=0)
+        run_multi_input(net, layout, [IndexInstance((1, 0, 0, 0), (0, 0))], 1, seed=0)
 
 
 def test_multi_input_sequences():
@@ -334,16 +346,17 @@ def test_multi_input_sequences():
         IndexInstance((0, 1, 1, 1), (1, 1)),  # 1
         IndexInstance((1, 1, 0, 1), (0, 1)),  # 1
     ]
-    truths = tuple(i.truth for i in insts)
-    hits = sum(run_multi_input(net, layout, insts, seed=s) == truths for s in range(50))
-    assert hits >= 49
+    truths = [i.truth for i in insts]
+    answers = run_multi_input(net, layout, insts, 50, seed=0)
+    assert answers.shape == (50, 4)
+    assert (answers == truths).all(axis=1).sum() >= 49
 
 
 def test_multi_input_same_instance_same_answer():
     net, layout = build_neuro_ram(4, with_reset=True, lam=LAM)
     inst = IndexInstance((0, 1, 0, 0), (0, 1))
-    answers = run_multi_input(net, layout, [inst, inst, inst], seed=11)
-    assert answers == (inst.truth,) * 3
+    answers = run_multi_input(net, layout, [inst, inst, inst], 1, seed=11)
+    assert answers.tolist() == [[inst.truth] * 3]
 
 
 def test_multi_input_n16_random_instances():
@@ -354,6 +367,6 @@ def test_multi_input_n16_random_instances():
                       tuple(int(b) for b in gen.integers(0, 2, 4)))
         for _ in range(3)
     ]
-    truths = tuple(i.truth for i in insts)
-    hits = sum(run_multi_input(net, layout, insts, seed=s) == truths for s in range(25))
-    assert hits >= 24
+    truths = [i.truth for i in insts]
+    answers = run_multi_input(net, layout, insts, 25, seed=0)
+    assert (answers == truths).all(axis=1).sum() >= 24

@@ -14,7 +14,7 @@ from neuroram.similarity import (
     LOCK_INACTIVE, LOCK_OK, LOCK_UNSTABLE,
     build_comparator_gadget, build_similarity, clamps_for, locked_index_check,
     locked_index_values, miss_bound_chain, sample_count, sampling_miss_count,
-    similarity_once, similarity_positive_count,
+    similarity_positive_count,
 )
 
 LAM = Fraction(1, 32)
@@ -159,9 +159,10 @@ def test_complement_inputs_detected(sim16):
 def test_all_zero_inputs_output_zero(sim16):
     net, layout = sim16
     zero = (0,) * 16
-    trace = run(net, clamps_for(layout, zero, zero), layout.read_round, seed=2)
-    assert trace.fired(layout.read_round, layout.out) == 0
-    assert locked_index_check(trace, layout) == LOCK_INACTIVE
+    states = trial_states(net, [(clamps_for(layout, zero, zero), layout.read_round + 1)], 1,
+                          seed=2, record=[layout.out, *layout.lock_record])
+    assert states[0, layout.read_round, 0] == 0
+    assert locked_index_check(states[0, :, 1:], layout) == LOCK_INACTIVE
 
 
 @pytest.mark.parametrize("n, eps, c", [(4, 0.5, 4), (16, 0.25, 2)])
@@ -176,24 +177,30 @@ def test_bucket_tail_differences_detected(n, eps, c):
     assert similarity_positive_count(net, layout, x, x, 200, seed=n + 1) <= 0.01 * 200
 
 
-def test_single_run_wrapper():
+def test_exact_single_run_n4(sim4):
+    net, layout = sim4
+
+    def flagged(x1, x2):
+        trace = run(net, clamps_for(layout, x1, x2), layout.read_round, seed=9)
+        return trace.fired(layout.read_round, layout.out)
+
     x1 = (0, 1, 0, 0)
-    assert similarity_once(4, 0.5, x1, x1, seed=9, lam=LAM) == 0
-    x2 = (1, 0, 1, 1)
-    assert similarity_once(4, 0.5, x1, x2, seed=9, lam=LAM) == 1
+    assert flagged(x1, x1) == 0
+    assert flagged(x1, (1, 0, 1, 1)) == 1
 
 
 # --- locked index ----------------------------------------------------------
 
+def lock_rows(net, layout, x1, x2, trials, seed):
+    """Per-trial rows of :func:`locked_index_check` from the trial engine."""
+    return trial_states(net, [(clamps_for(layout, x1, x2), layout.read_round + 1)], trials,
+                        seed, record=list(layout.lock_record))
+
+
 def test_lock_holds_over_seeds(sim4):
     net, layout = sim4
-    x1, x2 = (1, 0, 1, 0), (1, 1, 0, 0)
-    ok = sum(
-        locked_index_check(
-            run(net, clamps_for(layout, x1, x2), layout.read_round, seed=s), layout
-        ) == LOCK_OK
-        for s in range(100)
-    )
+    states = lock_rows(net, layout, (1, 0, 1, 0), (1, 1, 0, 0), 100, seed=0)
+    ok = sum(locked_index_check(rows, layout) == LOCK_OK for rows in states)
     assert ok >= 99
 
 
@@ -201,14 +208,35 @@ def test_removing_lock_edges_unlocks(sim4):
     net, layout = sim4
     stripped = [s for s in net.synapses if s.pre != layout.lock]
     loose = Network(net.lam, net.neurons, stripped, net.manifest)
-    x1, x2 = (1, 0, 1, 0), (1, 1, 0, 0)
-    unstable = sum(
-        locked_index_check(
-            run(loose, clamps_for(layout, x1, x2), layout.read_round, seed=s), layout
-        ) == LOCK_UNSTABLE
-        for s in range(30)
-    )
+    states = lock_rows(loose, layout, (1, 0, 1, 0), (1, 1, 0, 0), 30, seed=0)
+    unstable = sum(locked_index_check(rows, layout) == LOCK_UNSTABLE for rows in states)
     assert unstable >= 25
+
+
+def test_lock_check_on_synthetic_rows(sim4):
+    # No simulation: the lock fires in round 1 and every index bit holds a
+    # fixed pattern from round 2 on, with rows running past the read round.
+    _, layout = sim4
+    rounds, width = layout.read_round + 4, len(layout.lock_record)
+    rows = np.zeros((rounds, width), dtype=bool)
+    rows[1:, 0] = True
+    rows[2:, 1::2] = True
+    rows[1, 1:] = ~rows[2, 1:]  # round 1 is still settling
+    assert locked_index_check(rows, layout) == LOCK_OK
+
+    silent = rows.copy()
+    silent[1, 0] = False
+    assert locked_index_check(silent, layout) == LOCK_INACTIVE
+
+    for t in range(2, layout.read_round + 1):
+        for col in (1, width - 1):
+            flipped = rows.copy()
+            flipped[t, col] ^= True
+            assert locked_index_check(flipped, layout) == LOCK_UNSTABLE, (t, col)
+
+    late = rows.copy()
+    late[layout.read_round + 1:, 1:] ^= True
+    assert locked_index_check(late, layout) == LOCK_OK
 
 
 def test_index_uniformity_total_variation(sim16):
@@ -230,12 +258,13 @@ def test_index_uniformity_total_variation(sim16):
 
 def test_locked_index_values_match_round_two_bits(sim4):
     net, layout = sim4
-    trace = run(net, clamps_for(layout, (1, 0, 0, 0), (1, 0, 0, 0)),
-                layout.read_round, seed=13)
-    values = locked_index_values(trace, layout)
+    x = (1, 0, 0, 0)
+    rows = lock_rows(net, layout, x, x, 1, seed=13)[0]
+    values = locked_index_values(rows, layout)
     assert len(values) == layout.k
+    col = {u: i for i, u in enumerate(layout.lock_record)}
     for k, group in enumerate(layout.index):
-        assert values[k] == dec(tuple(trace.fired(2, y) for y in group))
+        assert values[k] == dec(tuple(int(rows[2, col[y]]) for y in group))
 
 
 # --- sampling bound --------------------------------------------------------
