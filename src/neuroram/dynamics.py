@@ -130,11 +130,6 @@ def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundS
     """
     _check_clamps(net, clamps)
     t = prev.round + 1
-    fired = prev.fired
-    lam = net.lam
-    # Saturation thresholds as exact integers: pot >= hi certainly fires,
-    # pot <= -hi certainly does not (given the clamping rule).
-    hi = SATURATION * lam
     bits = [0] * len(net)
     for u in net.neurons:
         uid = u.id
@@ -142,19 +137,11 @@ def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundS
             if uid in clamps:
                 bits[uid] = clamps[uid]
                 continue
-            pot = -u.bias
+            pot = -u.bias  # an unclamped input has no synaptic drive
         else:
-            pot = -u.bias
-            for pre, w in net.incoming[uid]:
-                if fired[pre]:
-                    pot += w
-        if pot > hi:
-            bits[uid] = 1
-            continue
-        if pot < -hi:
-            continue
-        p = 1.0 / (1.0 + math.exp(-float(Fraction(pot) / lam)))
-        if rng.unit(seed, t, uid) < p:
+            pot = potential(net, prev, uid)
+        p = firing_probability(pot, net.lam)
+        if p > 0.0 and rng.unit(seed, t, uid) < p:
             bits[uid] = 1
     return RoundState(tuple(bits), t)
 

@@ -1,30 +1,24 @@
 """Experiment orchestration and CSV reporting.
 
 Every experiment is deterministic in its config (seed included); CSV output
-is byte-stable for a fixed config and toolkit version.  The optional
-NEURORAM_THREADS environment variable caps worker processes for the
-per-case experiments; parallel and serial runs produce identical reports
-because cases carry their own derived seeds and results are reduced in
-case order.
+is byte-stable for a fixed config and toolkit version.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
 from itertools import product
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
 from .bits import format_bits, hamming
 from .dynamics import check_count
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceBudgetError
 from .montecarlo import trial_states
 from .ramnet import (
     CLOCK_OK, IndexInstance, address_bits, build_neuro_ram, clamps_for,
@@ -47,6 +41,7 @@ EXPERIMENT_KINDS = (
     "equivalence",
     "vc",
 )
+EXHAUSTIVE_MAX_N = 16  # 2**16 * 16 = 1,048,576 instances
 
 
 @dataclass
@@ -78,46 +73,20 @@ class ExperimentReport:
     passed: bool = False
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NEURORAM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn: Callable, cases: Sequence) -> list:
-    workers = _worker_count()
-    if workers <= 1 or len(cases) <= 1:
-        return [fn(case) for case in cases]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (4 * workers))))
-
-
-def _index_case(case: tuple) -> tuple:
-    # Worker for one (x, y, seed) indexing combination; builds via module
-    # cache so forked workers do not re-wire the network per case.
-    n, lam, trials, x, y, case_seed = case
-    net, layout = ramnet._cached_ram(n, False, lam)
-    inst = IndexInstance(x, y)
-    hits = ramnet.index_hits(net, layout, inst, trials, case_seed)
-    return (n, format_bits(x), format_bits(y), inst.truth, trials, hits)
-
-
 def _run_indexing(cfg: ExperimentConfig, combos: list[tuple[tuple, tuple]]) -> ExperimentReport:
     report = ExperimentReport(
         kind=cfg.kind,
         columns=("n", "x", "y", "truth", "trials", "successes", "rate"),
     )
-    cases = [
-        (cfg.n, cfg.lam, cfg.trials, x, y, cfg.seed + 7919 * k)
-        for k, (x, y) in enumerate(combos)
-    ]
+    net, layout = build_neuro_ram(cfg.n, lam=cfg.lam)
     rates = []
-    for n, x, y, truth, trials, hits in _map_cases(_index_case, cases):
-        rate = hits / trials
+    for k, (x, y) in enumerate(combos):
+        inst = IndexInstance(x, y)
+        hits = ramnet.index_hits(net, layout, inst, cfg.trials, cfg.seed + 7919 * k)
+        rate = hits / cfg.trials
         rates.append(rate)
-        report.rows.append((n, x, y, truth, trials, hits, f"{rate:.6f}"))
+        report.rows.append((cfg.n, format_bits(x), format_bits(y), inst.truth, cfg.trials,
+                            hits, f"{rate:.6f}"))
     report.summary = {
         "cases": len(rates),
         "min_rate": min(rates),
@@ -128,6 +97,11 @@ def _run_indexing(cfg: ExperimentConfig, combos: list[tuple[tuple, tuple]]) -> E
 
 
 def _indexing_exhaustive(cfg: ExperimentConfig) -> ExperimentReport:
+    if cfg.n > EXHAUSTIVE_MAX_N:
+        raise ResourceBudgetError(
+            f"exhaustive indexing enumerates 2**n * n instances; n = {cfg.n} exceeds "
+            f"{EXHAUSTIVE_MAX_N} (use indexing-sampled)"
+        )
     log_n = cfg.n.bit_length() - 1
     combos = [
         (x, y)

@@ -25,7 +25,7 @@ past 2**51, which saturates the sigmoid below temperature 2**45.  Digit
 sums stay exact below 2**19 incoming synapses per neuron.
 
 Results are deterministic in (network, clamps, rounds, trials, seed) and
-independent of how trials are split across batches or worker processes.
+independent of how trials are split across batches.
 """
 
 from __future__ import annotations

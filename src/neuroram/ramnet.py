@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -309,11 +308,6 @@ def build_neuro_ram(
     )
     layout = graft_indexing_unit(b, data, addr, with_reset=with_reset)
     return b.build(), layout
-
-
-@lru_cache(maxsize=16)
-def _cached_ram(n: int, with_reset: bool, lam: Fraction) -> tuple[Network, NeuroRamLayout]:
-    return build_neuro_ram(n, with_reset, lam)
 
 
 def check_weight_fact(net: Network, layout: NeuroRamLayout) -> bool:

@@ -175,12 +175,25 @@ def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
 def feedforward_from_json(doc: Any) -> FeedforwardNetwork:
     net = network_from_json(doc)
     raw = _object(_require(doc, "feedforward", "root"), "feedforward")
-    inputs = tuple(_parse_int(v, "feedforward.inputs") for v in _require(raw, "inputs", "feedforward"))
+    inputs = tuple(_parse_int(v, "feedforward.inputs")
+                   for v in _list(_require(raw, "inputs", "feedforward"), "feedforward.inputs"))
     layers = tuple(
-        tuple(_parse_int(v, f"feedforward.layers[{i}]") for v in layer)
-        for i, layer in enumerate(_require(raw, "layers", "feedforward"))
+        tuple(_parse_int(v, f"feedforward.layers[{i}]")
+              for v in _list(layer, f"feedforward.layers[{i}]"))
+        for i, layer in enumerate(_list(_require(raw, "layers", "feedforward"),
+                                        "feedforward.layers"))
     )
     out = _parse_int(_require(raw, "out", "feedforward"), "feedforward.out")
+    if inputs != net.input_ids:
+        raise SchemaError(f"feedforward.inputs: expected the network's inputs "
+                          f"{list(net.input_ids)}, got {list(inputs)}")
+    if (out,) != net.output_ids:
+        raise SchemaError(f"feedforward.out: expected the network's single output "
+                          f"{list(net.output_ids)}, got {out}")
+    aux = [u.id for u in net.neurons if u.kind is Kind.AUXILIARY]
+    if sorted(v for layer in layers for v in layer) != aux or len(set(map(len, layers))) > 1:
+        raise SchemaError("feedforward.layers: expected every auxiliary neuron exactly once, "
+                          "in layers of equal width")
     return FeedforwardNetwork(net=net, inputs=inputs, layers=layers, out=out)
 
 
@@ -205,7 +218,8 @@ def circuit_from_json(doc: Any) -> ThresholdCircuit:
     raw = _require(doc, "thresholds", "root")
     if not isinstance(raw, list) or len(raw) != len(ff.net):
         raise SchemaError("thresholds: expected one entry per neuron")
-    thresholds = tuple(math.nan if v is None else float(v) for v in raw)
+    thresholds = tuple(math.nan if v is None else _parse_float(v, f"thresholds[{i}]")
+                       for i, v in enumerate(raw))
     return ThresholdCircuit(ff=ff, thresholds=thresholds)
 
 

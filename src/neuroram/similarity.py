@@ -73,8 +73,8 @@ def sample_count(n: int, eps: float, c: float = 2.0) -> int:
     differing positions with probability at most n**-c."""
     if not 0 < eps <= 1:
         raise InvalidParameterError(f"eps must be in (0, 1], got {eps}")
-    if c < 1:
-        raise InvalidParameterError(f"c must be >= 1, got {c}")
+    if not (math.isfinite(c) and c >= 1):
+        raise InvalidParameterError(f"c must be finite and >= 1, got {c}")
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     return math.ceil(c * math.log(n) / eps)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dynamics import ClampSpec
+from .dynamics import ClampSpec, check_count
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
 from .montecarlo import trial_states
@@ -141,6 +141,7 @@ def _gate_ids(ff: FeedforwardNetwork) -> list[int]:
 
 def sample_threshold_circuit(ff: FeedforwardNetwork, seed: int) -> ThresholdCircuit:
     """Draw one deterministic circuit: per-gate logistic threshold, weights unchanged."""
+    check_count("seed", seed, 0)
     scale = float(ff.net.lam)
     thresholds = [math.nan] * len(ff.net)
     for pos, nid in enumerate(_gate_ids(ff)):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from neuroram import experiments
 from neuroram.cli import main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
+from neuroram.ramnet import IndexInstance, build_neuro_ram, index_hits
 from neuroram.serialize import load_feedforward, load_network, save_network
 from neuroram.randomnets import random_network
 
@@ -71,6 +73,56 @@ def test_unroll_derandomize_equiv_pipeline(tmp_path, capsys):
     assert code == 0
     assert report["ok"] is True
     assert abs(report["p_network"] - report["p_circuit"]) == report["delta"]
+
+
+def _unrolled(tmp_path):
+    net_path = tmp_path / "net.json"
+    ff_path = tmp_path / "ff.json"
+    save_network(random_network(2, n_inputs=3, n_aux=3, lam=Fraction(1, 4)), net_path)
+    assert main(["unroll", "--net", str(net_path), "--t", "4", "--out", str(ff_path)]) == 0
+    return ff_path
+
+
+def _regrouped(layers):
+    flat = [nid for layer in layers for nid in layer]
+    return [flat[:len(layers[0]) + 1], flat[len(layers[0]) + 1:]]
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("feedforward.inputs", lambda ff: 5),
+    ("feedforward.layers", lambda ff: 5),
+    ("feedforward.layers[0]", lambda ff: [5]),
+    ("feedforward.inputs", lambda ff: ff["inputs"][::-1]),
+    ("feedforward.inputs", lambda ff: ff["inputs"][:-1]),
+    ("feedforward.out", lambda ff: 999),
+    ("feedforward.out", lambda ff: ff["inputs"][0]),
+    ("feedforward.layers", lambda ff: [[0]]),
+    ("feedforward.layers", lambda ff: ff["layers"][:-1]),
+    ("feedforward.layers", lambda ff: ff["layers"] + [ff["layers"][0]]),
+    ("feedforward.layers", lambda ff: _regrouped(ff["layers"])),
+], ids=["inputs-int", "layers-int", "layer-int", "inputs-order", "inputs-short",
+        "out-999", "out-input", "layers-one-input", "layers-missing", "layers-repeated",
+        "layers-unequal"])
+def test_derandomize_rejects_inconsistent_feedforward_block(tmp_path, capsys, field, edit):
+    doc = json.loads(_unrolled(tmp_path).read_text())
+    key = field.split(".")[1].split("[")[0]
+    doc["feedforward"][key] = edit(doc["feedforward"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["derandomize", "--net", str(bad), "--seed", "1",
+                 "--out", str(tmp_path / "tc.json")])
+    assert code == 2
+    assert f"{bad}: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "tc.json").exists()
+
+
+def test_derandomize_rejects_negative_seed(tmp_path, capsys):
+    code = main(["derandomize", "--net", str(_unrolled(tmp_path)), "--seed", "-1",
+                 "--out", str(tmp_path / "tc.json")])
+    assert code == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "tc.json").exists()
 
 
 def test_vc_commands(tmp_path, capsys):
@@ -219,13 +271,47 @@ def test_experiment_failure_sets_nonzero_exit(capsys):
     assert report["summary"]["min_rate"] < 0.99
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    cfg = ExperimentConfig(kind="indexing-exhaustive", n=4, trials=10, seed=4,
-                           lam=Fraction(1, 32))
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("NEURORAM_THREADS", "3")
-    parallel = run_experiment(cfg)
-    assert serial.rows == parallel.rows
+def test_sampled_indexing_rows_are_index_hits_on_one_network(monkeypatch):
+    # The experiment builds the unit once and gives combination k the seed
+    # seed + 7919 * k; a hot temperature spreads the hit counts so a wrong
+    # seed or network shows.
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_neuro_ram(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_neuro_ram", build)
+    cfg = ExperimentConfig(kind="indexing-sampled", n=16, cases=20, trials=10, seed=5,
+                           lam=Fraction(1, 2))
+    report = run_experiment(cfg)
+    assert len(built) == 1
+    net, layout = build_neuro_ram(16, lam=cfg.lam)
+    assert len(report.rows) == 20
+    assert len({row[5] for row in report.rows}) > 1
+    for k, (n, x, y, truth, trials, hits, rate) in enumerate(report.rows):
+        inst = IndexInstance(tuple(map(int, x)), tuple(map(int, y)))
+        want = index_hits(net, layout, inst, cfg.trials, cfg.seed + 7919 * k)
+        assert (n, truth, trials, hits, rate) == (16, inst.truth, 10, want, f"{want / 10:.6f}")
+
+
+def test_exhaustive_indexing_refuses_large_n(capsys):
+    # 2**64 data patterns: the budget check must come before any enumeration.
+    assert main(["experiment", "--kind", "indexing-exhaustive", "--n", "64"]) == 2
+    assert "n = 64 exceeds 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["similarity", "--n", "4", "--x1", "1010", "--x2", "0101"],
+    ["build-similarity", "--n", "4", "--out", "never.json"],
+    ["experiment", "--kind", "similarity", "--n", "4"],
+], ids=["similarity", "build-similarity", "experiment"])
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_similarity_rejects_non_finite_c(tmp_path, monkeypatch, capsys, command, c):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--eps", "0.5", "--c", c]) == 2
+    assert capsys.readouterr().err.startswith(f"error: c must be finite and >= 1, got {c}")
+    assert not (tmp_path / "never.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

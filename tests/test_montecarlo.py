@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from neuroram.dynamics import default_lambda, firing_probability, run, run_schedule
+from neuroram.dynamics import firing_probability, run, run_schedule
 from neuroram.errors import InvalidParameterError
 from neuroram.model import Kind, NetworkBuilder, Polarity
 from neuroram.montecarlo import BATCH, _coefficients, _operator, final_bit_counts, trial_states
-from neuroram.ramnet import IndexInstance, _cached_ram, address_bits, index_hits
+from neuroram.ramnet import IndexInstance, address_bits, build_neuro_ram, index_hits
 from neuroram.randomnets import random_network
 from neuroram.serialize import network_from_json, network_to_json, save_network
 from neuroram.similarity import build_similarity
@@ -155,7 +155,7 @@ def _coefficients_loop(net, free):
 
 
 def test_coefficients_match_the_per_synapse_loop():
-    ram, _ = _cached_ram(16, False, default_lambda(16))
+    ram, _ = build_neuro_ram(16)
     sim, layout = build_similarity(16, 0.25, 2.0, Fraction(1, 32))
     cases = [(ram, ram.input_ids), (ram, ()), (sim, layout.x1 + layout.x2),
              (_mixed_sign_net(70)[0], (0, 1, 2)), (_mixed_sign_net(130)[0], (1,))]
@@ -173,7 +173,7 @@ def test_indexing_n4096_through_the_trial_engine():
     # Encoder coefficients reach 2**66 here, so these runs go through the
     # wide-column digits.
     n = 4096
-    net, layout = _cached_ram(n, False, default_lambda(n))
+    net, layout = build_neuro_ram(n)
     gen = np.random.default_rng(4096)
     last = n - 1
     instances = [

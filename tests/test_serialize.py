@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,8 @@ from neuroram.ramnet import build_neuro_ram
 from neuroram.randomnets import random_network
 from neuroram.serialize import (
     circuit_from_json, circuit_to_json, feedforward_from_json, feedforward_to_json,
-    architecture_from_json, load_network, load_samples, network_from_json, network_to_json,
-    save_network,
+    architecture_from_json, load_circuit, load_network, load_samples, network_from_json,
+    network_to_json, save_network,
 )
 from neuroram.transforms import (
     eval_threshold_circuit, sample_threshold_circuit, unroll,
@@ -131,3 +133,17 @@ def test_feedforward_and_circuit_roundtrip():
     assert tc2.thresholds == tc.thresholds  # repr-exact float round trip
     bits = {nid: 1 for nid in ff.inputs}
     assert eval_threshold_circuit(tc2, bits) == eval_threshold_circuit(tc, bits)
+
+
+@pytest.mark.parametrize("value", ["abc", [1.0], {"t": 1}, True])
+def test_circuit_threshold_must_be_a_number(tmp_path, value):
+    ff = unroll(random_network(7, n_inputs=2, n_aux=2, lam=Fraction(1, 4)), 3)
+    doc = circuit_to_json(sample_threshold_circuit(ff, seed=5))
+    gate = ff.out
+    doc["thresholds"][gate] = value
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: thresholds[{gate}]")):
+        load_circuit(path)
+    doc["thresholds"][gate] = None  # null stays NaN
+    assert math.isnan(circuit_from_json(doc).thresholds[gate])
