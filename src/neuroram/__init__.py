@@ -6,10 +6,7 @@ recurrent-to-feedforward unrolling with threshold-circuit derandomization,
 and small-instance dichotomy/VC counting.
 """
 
-from .dynamics import (
-    RoundState, Trace, default_lambda, firing_probability, potential, run,
-    run_schedule, step,
-)
+from .dynamics import default_lambda, firing_probability, potential, run, run_schedule, step
 from .model import (
     Kind, Network, NetworkBuilder, Neuron, Polarity, Synapse, Violation, validate,
 )
@@ -19,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Kind", "Network", "NetworkBuilder", "Neuron", "Polarity", "Synapse",
-    "Violation", "validate", "RoundState", "Trace", "default_lambda",
-    "firing_probability", "potential", "run", "run_schedule", "step",
+    "Violation", "validate", "default_lambda", "firing_probability",
+    "potential", "run", "run_schedule", "step",
     "binary", "dec", "__version__",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -36,11 +37,17 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+MAX_SIZE_BITS = 1 << 20  # largest "b^k" class size built; the Sauer bound needs only log2
+
+
 def _size(text: str) -> int:
-    # Accepts plain integers and "2^k".
+    # Accepts plain integers and "b^k".
     if "^" in text:
         base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
+        base, exp = int(base), int(exp)
+        if abs(base) > 1 and exp * math.log2(abs(base)) > MAX_SIZE_BITS:
+            raise argparse.ArgumentTypeError(f"{text} exceeds {MAX_SIZE_BITS} bits")
+        return base ** exp
     return int(text)
 
 
@@ -109,10 +116,10 @@ def cmd_similarity(args) -> int:
 
 def cmd_run(args) -> int:
     net = load_network(args.net)
-    trace = run(net, _input_clamps(net, args.inputs), args.rounds, args.seed)
+    rows = run(net, _input_clamps(net, args.inputs), args.rounds, args.seed)
     print(_csv_line(("round", "fired")))
-    for state in trace.states:
-        print(_csv_line((state.round, format_bits(state.fired))))
+    for t, row in enumerate(rows.astype(int).tolist()):
+        print(_csv_line((t, format_bits(row))))
     return 0
 
 

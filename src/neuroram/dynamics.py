@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import rng
 from .errors import InvalidParameterError
@@ -39,31 +40,6 @@ SATURATION = 40
 ClampSpec = Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class RoundState:
-    """Firing pattern of every neuron for one round."""
-
-    fired: tuple[int, ...]
-    round: int
-
-
-@dataclass(frozen=True)
-class Trace:
-    """States for rounds 0..T of one simulation."""
-
-    states: tuple[RoundState, ...]
-
-    @property
-    def rounds(self) -> int:
-        return len(self.states) - 1
-
-    def state(self, t: int) -> RoundState:
-        return self.states[t]
-
-    def fired(self, t: int, u: int) -> int:
-        return self.states[t].fired[u]
-
-
 def default_lambda(n: int) -> Fraction:
     """Temperature 1/(4*log2 n): unit margins misfire with probability < n**-5."""
     k = n.bit_length() - 1
@@ -72,11 +48,10 @@ def default_lambda(n: int) -> Fraction:
     return Fraction(1, 4 * k)
 
 
-def potential(net: Network, prev: RoundState, u: int) -> int:
-    """Exact membrane potential of u computed from the previous round's firing."""
+def potential(net: Network, fired: Sequence, u: int) -> int:
+    """Exact membrane potential of u computed from the previous round's bits."""
     if net.is_input(u):
         raise InvalidParameterError(f"neuron {u} is an input; inputs have no potential")
-    fired = prev.fired
     pot = -net.neurons[u].bias
     for pre, w in net.incoming[u]:
         if fired[pre]:
@@ -112,25 +87,24 @@ def _check_clamps(net: Network, clamps: ClampSpec) -> None:
             raise InvalidParameterError(f"clamp bit for {u} must be 0 or 1, got {bit!r}")
 
 
-def initial_state(net: Network, clamps: ClampSpec) -> RoundState:
-    """Round 0: non-input neurons silent, clamped inputs at their bits."""
+def initial_state(net: Network, clamps: ClampSpec) -> np.ndarray:
+    """Row 0: non-input neurons silent, clamped inputs at their bits."""
     _check_clamps(net, clamps)
-    bits = [0] * len(net)
+    bits = np.zeros(len(net), dtype=bool)
     for u, bit in clamps.items():
         bits[u] = bit
-    return RoundState(tuple(bits), 0)
+    return bits
 
 
-def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundState:
-    """Advance one round.
+def step(net: Network, prev: Sequence, t: int, clamps: ClampSpec, seed: int) -> np.ndarray:
+    """Compute row ``t`` from the previous round's bits ``prev``.
 
     The draw for neuron u in round t is addressed by (seed, t, u), so the
-    result depends only on the previous state, never on how it was reached,
-    and repeated calls are bit-identical.
+    result depends only on the previous bits, never on how they were
+    reached, and repeated calls are bit-identical.
     """
     _check_clamps(net, clamps)
-    t = prev.round + 1
-    bits = [0] * len(net)
+    bits = np.zeros(len(net), dtype=bool)
     for u in net.neurons:
         uid = u.id
         if u.kind is Kind.INPUT:
@@ -142,8 +116,8 @@ def step(net: Network, prev: RoundState, clamps: ClampSpec, seed: int) -> RoundS
             pot = potential(net, prev, uid)
         p = firing_probability(pot, net.lam)
         if p > 0.0 and rng.unit(seed, t, uid) < p:
-            bits[uid] = 1
-    return RoundState(tuple(bits), t)
+            bits[uid] = True
+    return bits
 
 
 def check_count(name: str, value: object, least: int) -> None:
@@ -162,7 +136,7 @@ def check_schedule(net: Network, schedule: Sequence[tuple[ClampSpec, int]], seed
         _check_clamps(net, clamps)
 
 
-def run(net: Network, clamps: ClampSpec, rounds: int, seed: int) -> Trace:
+def run(net: Network, clamps: ClampSpec, rounds: int, seed: int) -> np.ndarray:
     """Simulate rounds 0..rounds under a fixed clamp; pure in (net, clamps, rounds, seed)."""
     check_count("rounds", rounds, 0)
     return run_schedule(net, [(clamps, rounds + 1)], seed)
@@ -172,18 +146,19 @@ def run_schedule(
     net: Network,
     schedule: Sequence[tuple[ClampSpec, int]],
     seed: int,
-) -> Trace:
-    """Simulate with piecewise-constant clamps.
+) -> np.ndarray:
+    """Simulate with piecewise-constant clamps; returns bool rows (rounds+1, N).
 
     ``schedule`` is a sequence of (clamps, duration) windows; durations are
     in rounds and must be positive.  Round 0 belongs to the first window, so
-    the total number of simulated rounds is sum(durations) - 1.
+    the total number of simulated rounds is sum(durations) - 1.  Row t holds
+    every neuron's bit in round t, laid out like one trial of
+    ``trial_states(net, schedule, trials, seed, list(range(N)))``.
     """
     check_schedule(net, schedule, seed)
     per_round = [clamps for clamps, duration in schedule for _ in range(duration)]
-    state = initial_state(net, per_round[0])
-    states = [state]
+    rows = np.empty((len(per_round), len(net)), dtype=bool)
+    rows[0] = initial_state(net, per_round[0])
     for t in range(1, len(per_round)):
-        state = step(net, state, per_round[t], seed)
-        states.append(state)
-    return Trace(tuple(states))
+        rows[t] = step(net, rows[t - 1], t, per_round[t], seed)
+    return rows

@@ -6,7 +6,7 @@ class InvalidParameterError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """An enumeration would exceed its configured combinatorial budget."""
+    """An operation would exceed its fixed size or combinatorial budget."""
 
 
 class SchemaError(ValueError):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import dec
 from .dynamics import default_lambda
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
 from .montecarlo import final_bit_counts
 from .ramnet import NeuroRamLayout, dimension, graft_indexing_unit
@@ -39,6 +39,8 @@ from .ramnet import NeuroRamLayout, dimension, graft_indexing_unit
 LOCK_OK = "ok"
 LOCK_INACTIVE = "lock-inactive"
 LOCK_UNSTABLE = "unstable"
+
+MAX_PROBES = 256  # 512 indexing units; eps down to c*ln(n)/256 (0.033 at n = 64, c = 2)
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,20 @@ class SimilarityLayout:
 
 def sample_count(n: int, eps: float, c: float = 2.0) -> int:
     """Number of random probes, ceil(c * ln(n) / eps); misses all of eps*n
-    differing positions with probability at most n**-c."""
+    differing positions with probability at most n**-c.  More than
+    :data:`MAX_PROBES` raise :class:`ResourceBudgetError`."""
     if not 0 < eps <= 1:
         raise InvalidParameterError(f"eps must be in (0, 1], got {eps}")
     if not (math.isfinite(c) and c >= 1):
         raise InvalidParameterError(f"c must be finite and >= 1, got {c}")
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
-    return math.ceil(c * math.log(n) / eps)
+    probes = c * math.log(n) / eps
+    if probes > MAX_PROBES:
+        raise ResourceBudgetError(
+            f"K = ceil(c*ln(n)/eps) = {probes:.4g} probes exceeds the budget of {MAX_PROBES}"
+        )
+    return math.ceil(probes)
 
 
 def build_similarity(
@@ -128,13 +136,7 @@ def build_similarity(
         units_a.append(unit_a)
         units_b.append(unit_b)
 
-        f_any = b.add_neuron(f"cmp_any[{k}]", Kind.AUXILIARY, Polarity.EXCITATORY, 1)
-        f_both = b.add_neuron(f"cmp_both[{k}]", Kind.AUXILIARY, Polarity.INHIBITORY, 3)
-        for pair_out in (unit_a.out, unit_b.out):
-            b.add_synapse(pair_out, f_any, 2)
-            b.add_synapse(pair_out, f_both, 2)
-        b.add_synapse(f_any, out, 2)
-        b.add_synapse(f_both, out, -2)
+        f_any, f_both = _add_comparator(b, (unit_a.out, unit_b.out), out, f"[{k}]")
         cmp_any.append(f_any)
         cmp_both.append(f_both)
 
@@ -146,19 +148,28 @@ def build_similarity(
     return b.build(), layout
 
 
+def _add_comparator(
+    b: NetworkBuilder, pair: tuple[int, int], out: int, tag: str
+) -> tuple[int, int]:
+    """Add the OR/AND comparator over ``pair``, wired +2/-2 into ``out``
+    (which may be added to ``b`` afterwards); returns (cmp_any, cmp_both)."""
+    f_any = b.add_neuron(f"cmp_any{tag}", Kind.AUXILIARY, Polarity.EXCITATORY, 1)
+    f_both = b.add_neuron(f"cmp_both{tag}", Kind.AUXILIARY, Polarity.INHIBITORY, 3)
+    for pair_out in pair:
+        b.add_synapse(pair_out, f_any, 2)
+        b.add_synapse(pair_out, f_both, 2)
+    b.add_synapse(f_any, out, 2)
+    b.add_synapse(f_both, out, -2)
+    return f_any, f_both
+
+
 def build_comparator_gadget(lam: Fraction = Fraction(1, 32)) -> tuple[Network, dict[str, int]]:
     """Just the pair comparator, with inputs standing in for the pair outputs."""
     b = NetworkBuilder(Fraction(lam))
     o1 = b.add_neuron("o1", Kind.INPUT, Polarity.EXCITATORY, 0)
     o2 = b.add_neuron("o2", Kind.INPUT, Polarity.EXCITATORY, 0)
-    f_any = b.add_neuron("cmp_any", Kind.AUXILIARY, Polarity.EXCITATORY, 1)
-    f_both = b.add_neuron("cmp_both", Kind.AUXILIARY, Polarity.INHIBITORY, 3)
+    f_any, f_both = _add_comparator(b, (o1, o2), o2 + 3, "")  # out comes right after
     out = b.add_neuron("out", Kind.OUTPUT, Polarity.EXCITATORY, 1)
-    for o in (o1, o2):
-        b.add_synapse(o, f_any, 2)
-        b.add_synapse(o, f_both, 2)
-    b.add_synapse(f_any, out, 2)
-    b.add_synapse(f_both, out, -2)
     net = b.build()
     ids = {"o1": o1, "o2": o2, "cmp_any": f_any, "cmp_both": f_both, "out": out}
     return net, ids

@@ -15,9 +15,10 @@ bias as mean and the temperature as scale.  The logistic CDF is the firing
 sigmoid, so for any fixed presynaptic pattern the probability (over the
 drawn threshold) that the deterministic gate fires equals the stochastic
 firing probability -- the network's output distribution is realized as a
-random draw of a deterministic linear threshold circuit.  Thresholds are
-sampled by inverse CDF, eta = bias + scale * ln(p / (1 - p)), from the
-same counter-based stream family as the simulator.
+random draw of a deterministic linear threshold circuit.  It samples each
+threshold by inverse CDF, eta = bias + scale * ln(p / (1 - p)), from the
+same counter-based stream family as the simulator; ``distribution_equivalence``
+draws from the same logistic law with numpy instead.
 """
 
 from __future__ import annotations
@@ -229,8 +230,10 @@ def distribution_equivalence(
 
     Side one simulates the recurrent network; side two draws a fresh
     deterministic circuit from the unrolled graph per trial and evaluates
-    it.  The two estimators target the same probability, so the report
-    flags |delta| beyond four binomial standard deviations.
+    it, drawing the logistic(bias, lambda) thresholds with numpy's
+    ``Generator.logistic`` seeded by ``[seed, 0x54433A, batch]``, 4096
+    trials per batch.  The two estimators target the same probability, so
+    the report flags |delta| beyond four binomial standard deviations.
     """
     if trials < 10_000:
         raise InvalidParameterError(f"need at least 1e4 trials, got {trials}")

@@ -243,7 +243,7 @@ def test_criterion_10_model_sanity():
     for k in range(100):
         net = random_network(10_000 + k, n_inputs=2, n_aux=3)
         clamps = {u: (u % 2) for u in net.input_ids}
-        if run(net, clamps, 8, seed=k) != run(net, clamps, 8, seed=k):
+        if not np.array_equal(run(net, clamps, 8, seed=k), run(net, clamps, 8, seed=k)):
             deterministic = False
             break
 

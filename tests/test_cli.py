@@ -1,14 +1,18 @@
 import json
+import shlex
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from neuroram import experiments
-from neuroram.cli import main
+from neuroram.cli import build_parser, main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
 from neuroram.ramnet import IndexInstance, build_neuro_ram, index_hits
 from neuroram.serialize import load_feedforward, load_network, save_network
 from neuroram.randomnets import random_network
+from neuroram.similarity import MAX_PROBES
 
 
 def test_build_and_index_pipeline(tmp_path, capsys):
@@ -301,17 +305,59 @@ def test_exhaustive_indexing_refuses_large_n(capsys):
     assert "n = 64 exceeds 16" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
+_SIMILARITY_COMMANDS = pytest.mark.parametrize("command", [
     ["similarity", "--n", "4", "--x1", "1010", "--x2", "0101"],
     ["build-similarity", "--n", "4", "--out", "never.json"],
     ["experiment", "--kind", "similarity", "--n", "4"],
 ], ids=["similarity", "build-similarity", "experiment"])
+
+
+@_SIMILARITY_COMMANDS
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_similarity_rejects_non_finite_c(tmp_path, monkeypatch, capsys, command, c):
     monkeypatch.chdir(tmp_path)
     assert main([*command, "--eps", "0.5", "--c", c]) == 2
     assert capsys.readouterr().err.startswith(f"error: c must be finite and >= 1, got {c}")
     assert not (tmp_path / "never.json").exists()
+
+
+@_SIMILARITY_COMMANDS
+@pytest.mark.parametrize("probes", [["--eps", "0.5", "--c", "1e300"], ["--eps", "1e-300"]],
+                         ids=["huge-c", "tiny-eps"])
+def test_similarity_refuses_probe_counts_past_the_budget(tmp_path, monkeypatch, capsys,
+                                                         command, probes):
+    # A finite but huge K must be refused before any neuron is added.
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main([*command, *probes]) == 2
+    assert time.perf_counter() - start < 5
+    assert f"exceeds the budget of {MAX_PROBES}" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_vc_bounds_refuses_huge_class_size(capsys):
+    # 2^4000000000 would take gigabytes to materialize; it is refused at parse time.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["vc", "bounds", "--m", "4", "--class-size", "2^4000000000", "--n", "16"])
+    assert exit_info.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "2^4000000000 exceeds" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[str]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("neuroram ")]
+
+
+def test_readme_command_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from neuroram.dynamics import (
-    RoundState, default_lambda, firing_probability, initial_state, potential,
-    run, run_schedule, step,
+    default_lambda, firing_probability, initial_state, potential, run, run_schedule, step,
 )
 from neuroram.errors import InvalidParameterError
 from neuroram.model import Kind, NetworkBuilder, Polarity
@@ -31,21 +31,21 @@ def coin_net(lam=Fraction(1, 32)):
 
 def test_potential_weighted_sum_minus_bias():
     net = two_neuron_net(bias=1, weight=2)
-    fired = RoundState((1, 0), 0)
-    silent = RoundState((0, 0), 0)
+    fired = (1, 0)
+    silent = (0, 0)
     assert potential(net, fired, 1) == 1
     assert potential(net, silent, 1) == -1
 
 
 def test_potential_empty_sum_is_negated_bias():
     net = two_neuron_net(bias=7, weight=2)
-    assert potential(net, RoundState((0, 0), 3), 1) == -7
+    assert potential(net, (0, 0), 1) == -7
 
 
 def test_potential_rejects_input_neuron():
     net = two_neuron_net()
     with pytest.raises(InvalidParameterError):
-        potential(net, RoundState((0, 0), 0), 0)
+        potential(net, (0, 0), 0)
 
 
 def test_potential_encoding_neuron_arithmetic():
@@ -58,7 +58,7 @@ def test_potential_encoding_neuron_arithmetic():
     b.add_synapse(0, 2, 2**4)
     b.add_synapse(1, 2, 2**6)
     net = b.build()
-    assert potential(net, RoundState((1, 1, 0), 2), 2) == 1
+    assert potential(net, (1, 1, 0), 2) == 1
 
 
 # --- firing probability ----------------------------------------------------
@@ -121,17 +121,17 @@ def test_step_is_deterministic():
     net = random_network(5, n_inputs=2, n_aux=3)
     clamps = {0: 1, 1: 0}
     prev = initial_state(net, clamps)
-    a = step(net, prev, clamps, seed=99)
-    b = step(net, prev, clamps, seed=99)
-    assert a == b
+    a = step(net, prev, 1, clamps, seed=99)
+    b = step(net, prev, 1, clamps, seed=99)
+    assert np.array_equal(a, b)
 
 
 def test_step_clamped_inputs_copy_bits():
     net = two_neuron_net()
-    state = step(net, initial_state(net, {0: 1}), {0: 1}, seed=0)
-    assert state.fired[0] == 1
-    state = step(net, state, {0: 0}, seed=0)
-    assert state.fired[0] == 0
+    row = step(net, initial_state(net, {0: 1}), 1, {0: 1}, seed=0)
+    assert row[0] == 1
+    row = step(net, row, 2, {0: 0}, seed=0)
+    assert row[0] == 0
 
 
 def test_step_saturated_silence():
@@ -141,8 +141,8 @@ def test_step_saturated_silence():
     for i in range(5):
         b.add_neuron(f"a{i}", Kind.AUXILIARY, Polarity.EXCITATORY, 1 + i)
     net = b.build()
-    state = step(net, initial_state(net, {0: 0}), {0: 0}, seed=4)
-    assert state.fired == (0,) * 6
+    row = step(net, initial_state(net, {0: 0}), 1, {0: 0}, seed=4)
+    assert row.tolist() == [0] * 6
 
 
 def test_markov_transition_depends_only_on_state():
@@ -152,30 +152,29 @@ def test_markov_transition_depends_only_on_state():
     net = random_network(8, n_inputs=1, n_aux=3)
     clamps = {0: 1}
     bits = (1, 0, 1, 1, 0)  # one bit per neuron (input, 3 aux, output)
-    history_a = run(net, clamps, 5, seed=1).state(5)
-    history_b = run(net, clamps, 5, seed=2).state(5)
-    assert history_a.round == history_b.round == 5
-    follow_a = step(net, RoundState(bits, 5), clamps, seed=77)
-    follow_b = step(net, RoundState(bits, 5), clamps, seed=77)
-    assert follow_a == follow_b
+    history_a = run(net, clamps, 5, seed=1)
+    history_b = run(net, clamps, 5, seed=2)
+    assert len(history_a) == len(history_b) == 6
+    follow_a = step(net, bits, 6, clamps, seed=77)
+    follow_b = step(net, bits, 6, clamps, seed=77)
+    assert np.array_equal(follow_a, follow_b)
 
 
 def test_run_round_zero_contract():
     net = random_network(21, n_inputs=3, n_aux=4)
     clamps = {u: 1 for u in net.input_ids}
-    trace = run(net, clamps, 0, seed=0)
-    assert trace.rounds == 0
-    state = trace.state(0)
+    rows = run(net, clamps, 0, seed=0)
+    assert rows.shape == (1, len(net))
     for u in net.neurons:
         expected = 1 if u.id in clamps else 0
-        assert state.fired[u.id] == (expected if u.kind is Kind.INPUT else 0)
+        assert rows[0, u.id] == (expected if u.kind is Kind.INPUT else 0)
 
 
 def test_run_repeatable():
     net = random_network(31, n_inputs=2, n_aux=5)
     clamps = {u: (u % 2) for u in net.input_ids}
-    assert run(net, clamps, 12, seed=6) == run(net, clamps, 12, seed=6)
-    assert run(net, clamps, 12, seed=6) != run(net, clamps, 12, seed=7)
+    assert np.array_equal(run(net, clamps, 12, seed=6), run(net, clamps, 12, seed=6))
+    assert not np.array_equal(run(net, clamps, 12, seed=6), run(net, clamps, 12, seed=7))
 
 
 def test_run_rejects_clamped_non_input():
@@ -190,18 +189,18 @@ def test_run_rejects_clamped_non_input():
 def test_coin_neuron_empirical_rate():
     # potential exactly 0 each round: empirical firing rate 0.5 +- 0.01 over 1e5 steps
     net = coin_net()
-    trace = run(net, {}, 100_000, seed=123)
-    rate = sum(s.fired[0] for s in trace.states[1:]) / 100_000
+    rows = run(net, {}, 100_000, seed=123)
+    rate = rows[1:, 0].sum() / 100_000
     assert abs(rate - 0.5) < 0.01
 
 
 def test_run_schedule_matches_run_for_constant_clamps():
     net = random_network(41, n_inputs=2, n_aux=3)
     clamps = {u: 1 for u in net.input_ids}
-    assert run_schedule(net, [(clamps, 8)], seed=3) == run(net, clamps, 7, seed=3)
+    assert np.array_equal(run_schedule(net, [(clamps, 8)], seed=3), run(net, clamps, 7, seed=3))
 
 
 def test_run_schedule_switches_clamps():
     net = two_neuron_net()
-    trace = run_schedule(net, [({0: 1}, 2), ({0: 0}, 2)], seed=0)
-    assert [s.fired[0] for s in trace.states] == [1, 1, 0, 0]
+    rows = run_schedule(net, [({0: 1}, 2), ({0: 0}, 2)], seed=0)
+    assert rows[:, 0].tolist() == [1, 1, 0, 0]

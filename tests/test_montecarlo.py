@@ -24,7 +24,7 @@ def test_agrees_with_exact_engine_on_rates():
     rounds, trials = 5, 4000
     vec_rate = final_bit_counts(net, clamps, rounds, trials, seed=5, neuron=out) / trials
     exact_hits = sum(
-        run(net, clamps, rounds, seed=k).fired(rounds, out) for k in range(trials)
+        run(net, clamps, rounds, seed=k)[rounds, out] for k in range(trials)
     )
     assert abs(vec_rate - exact_hits / trials) < 0.04
 
@@ -237,13 +237,21 @@ def test_per_round_marginals_match_the_exact_forward_distribution(engine, trials
     if engine == "vectorized":
         counts = trial_states(net, schedule, trials, seed, list(range(len(net)))).sum(axis=0)
     else:
-        counts = sum(np.array([s.fired for s in run_schedule(net, schedule, k).states])
-                     for k in range(trials))
+        counts = sum(run_schedule(net, schedule, k) for k in range(trials))
     # two-sided binomial tail of every marginal, Bonferroni over all of them;
     # a saturated marginal (0 or 1) must be matched exactly
     tail = np.minimum(binom.cdf(counts, trials, want), binom.sf(counts - 1, trials, want))
     worst = np.unravel_index(np.argmin(tail), tail.shape)
     assert 2 * tail.min() >= 1e-3 / tail.size, (worst, counts[worst] / trials, want[worst])
+
+
+@pytest.mark.parametrize("schedule", [[({0: 1}, 5)], [({0: 1}, 3), ({0: 0}, 4)]])
+def test_exact_rows_have_the_trial_engine_layout(schedule):
+    net = random_network(12, n_inputs=1, n_aux=4)
+    rows = run_schedule(net, schedule, 7)
+    trial = trial_states(net, schedule, 3, 7, list(range(len(net))))[0]
+    assert rows.dtype == trial.dtype
+    assert rows.shape == trial.shape
 
 
 def test_rejects_bad_args():

@@ -169,8 +169,7 @@ def test_encoding_matches_builder_weights(ram16):
 
 def exact_output(net, layout, inst, seed):
     """Output bit at round ``layout.rounds`` of one exact run."""
-    trace = run(net, clamps_for(layout, inst), layout.rounds, seed)
-    return trace.fired(layout.rounds, layout.out)
+    return run(net, clamps_for(layout, inst), layout.rounds, seed)[layout.rounds, layout.out]
 
 
 def test_exact_index_exhaustive_n4_one_seed(ram4):
@@ -196,10 +195,10 @@ def test_all_zero_data_outputs_zero(ram16):
 def test_round_zero_everything_but_inputs_silent(ram16):
     net, layout = ram16
     inst = IndexInstance(tuple(int(i % 2) for i in range(16)), (1, 0, 1, 0))
-    state = run(net, clamps_for(layout, inst), 0, seed=0).state(0)
+    row = run(net, clamps_for(layout, inst), 0, seed=0)[0]
     for u in net.neurons:
         if u.kind is not Kind.INPUT:
-            assert state.fired[u.id] == 0
+            assert row[u.id] == 0
 
 
 def test_address_convention_roundtrip():
@@ -243,15 +242,15 @@ def test_potential_reading_recurrence(ram16):
     x = (1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1)
     bucket_idx = 2
     inst = IndexInstance(x, address_bits(16, bucket_idx * s + 1))
-    trace = run(net, clamps_for(layout, inst), layout.rounds, seed=9)
-    assert trace.fired(layout.rounds, layout.out) == inst.truth
+    rows = run(net, clamps_for(layout, inst), layout.rounds, seed=9)
+    assert rows[layout.rounds, layout.out] == inst.truth
     e_sel = layout.enc[bucket_idx]
     bucket = x[bucket_idx * s: (bucket_idx + 1) * s]
     for j in range(s):
         expected = 1 - 2 ** (s - j) + sum(
             bucket[jj] * 2 ** (s - jj) for jj in range(j, s)
         )
-        assert potential(net, trace.state(5 * j + 2), e_sel) == expected
+        assert potential(net, rows[5 * j + 2], e_sel) == expected
 
 
 def test_output_persists_once_fired(ram16):
@@ -275,8 +274,8 @@ def test_output_persists_once_fired(ram16):
 
 def exact_clock_status(net, layout, clamps, seed):
     """:func:`clock_pattern_status` on the clock rows of one exact run."""
-    trace = run(net, clamps, layout.rounds, seed)
-    return clock_pattern_status([[s.fired[c] for c in layout.clock] for s in trace.states], layout)
+    rows = run(net, clamps, layout.rounds, seed)
+    return clock_pattern_status(rows[:, list(layout.clock)], layout)
 
 
 def test_clock_ok_on_nonzero_input(ram4, ram16):

@@ -111,10 +111,10 @@ def test_pairs_share_index_neurons(sim16):
 def test_comparator_truth_table():
     net, ids = build_comparator_gadget(LAM)
     for o1, o2 in product((0, 1), repeat=2):
-        trace = run(net, {ids["o1"]: o1, ids["o2"]: o2}, 2, seed=5)
-        assert trace.fired(1, ids["cmp_any"]) == (o1 | o2)
-        assert trace.fired(1, ids["cmp_both"]) == (o1 & o2)
-        assert trace.fired(2, ids["out"]) == (o1 ^ o2)
+        rows = run(net, {ids["o1"]: o1, ids["o2"]: o2}, 2, seed=5)
+        assert rows[1, ids["cmp_any"]] == (o1 | o2)
+        assert rows[1, ids["cmp_both"]] == (o1 & o2)
+        assert rows[2, ids["out"]] == (o1 ^ o2)
 
 
 def test_output_integrates_pairs_fires_iff_some_pair_disagrees():
@@ -136,9 +136,9 @@ def test_output_integrates_pairs_fires_iff_some_pair_disagrees():
         b.add_synapse(f_both, out, -2)
     net = b.build()
     for bits in product((0, 1), repeat=4):
-        trace = run(net, dict(zip(pair_outs, bits)), 2, seed=3)
+        rows = run(net, dict(zip(pair_outs, bits)), 2, seed=3)
         disagreement = (bits[0] ^ bits[1]) or (bits[2] ^ bits[3])
-        assert trace.fired(2, out) == int(disagreement), bits
+        assert rows[2, out] == int(disagreement), bits
 
 
 # --- end to end ------------------------------------------------------------
@@ -181,8 +181,8 @@ def test_exact_single_run_n4(sim4):
     net, layout = sim4
 
     def flagged(x1, x2):
-        trace = run(net, clamps_for(layout, x1, x2), layout.read_round, seed=9)
-        return trace.fired(layout.read_round, layout.out)
+        rows = run(net, clamps_for(layout, x1, x2), layout.read_round, seed=9)
+        return rows[layout.read_round, layout.out]
 
     x1 = (0, 1, 0, 0)
     assert flagged(x1, x1) == 0
