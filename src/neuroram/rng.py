@@ -4,18 +4,13 @@ One 64-bit root seed addresses an unbounded family of independent uniform
 draws through a SplitMix64-style finalizer.  Simulation uses the draw at
 ``(seed, round, neuron)``, so traces are reproducible bit-for-bit, neurons
 may be updated in any order within a round, and trials parallelize without
-shared generator state.  Threshold sampling for deterministic circuits uses
-a disjoint stream tag.
+shared generator state.
 """
 
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Stream tag for threshold (bias) sampling; dynamics streams are tagged by
-# round number, which stays far below this.
-BIAS_STREAM = 1 << 48
 
 
 def _mix(x: int) -> int:

@@ -51,9 +51,11 @@ def _parse_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
     try:
-        return float(value)
-    except ValueError:
-        raise SchemaError(f"{path}: not a number: {value!r}") from None
+        if math.isfinite(number := float(value)):
+            return number
+    except (ValueError, OverflowError):
+        pass
+    raise SchemaError(f"{path}: not a finite number: {value!r}")
 
 
 def _read_json(path: str | Path) -> Any:
@@ -218,7 +220,11 @@ def circuit_from_json(doc: Any) -> ThresholdCircuit:
     raw = _require(doc, "thresholds", "root")
     if not isinstance(raw, list) or len(raw) != len(ff.net):
         raise SchemaError("thresholds: expected one entry per neuron")
-    thresholds = tuple(math.nan if v is None else _parse_float(v, f"thresholds[{i}]")
+    inputs = set(ff.inputs)
+    for nid in ff.inputs:
+        if raw[nid] is not None:
+            raise SchemaError(f"thresholds[{nid}]: expected null for an input, got {raw[nid]!r}")
+    thresholds = tuple(math.nan if i in inputs else _parse_float(v, f"thresholds[{i}]")
                        for i, v in enumerate(raw))
     return ThresholdCircuit(ff=ff, thresholds=thresholds)
 

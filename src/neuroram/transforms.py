@@ -9,16 +9,14 @@ original output had a self-loop).  Layer-i copies only carry meaningful
 state in round i, which is exactly when the next layer reads them, so the
 distribution of the output at round t is untouched.
 
-``sample_threshold_circuit`` then removes the stochastic units: each gate's
-threshold is drawn once from a logistic distribution with the original
-bias as mean and the temperature as scale.  The logistic CDF is the firing
-sigmoid, so for any fixed presynaptic pattern the probability (over the
-drawn threshold) that the deterministic gate fires equals the stochastic
-firing probability -- the network's output distribution is realized as a
-random draw of a deterministic linear threshold circuit.  It samples each
-threshold by inverse CDF, eta = bias + scale * ln(p / (1 - p)), from the
-same counter-based stream family as the simulator; ``distribution_equivalence``
-draws from the same logistic law with numpy instead.
+The circuit half then removes the stochastic units: each gate's threshold
+is its bias plus an offset drawn once from the logistic law with the
+temperature as scale.  The logistic CDF is the firing sigmoid, so for any
+fixed presynaptic pattern the probability (over the drawn threshold) that
+the deterministic gate fires equals the stochastic firing probability --
+the network's output distribution is realized as a random draw of a
+deterministic linear threshold circuit.  One sampler, ``_offsets``, and
+one evaluator, ``_gate_bits``, serve every circuit path.
 """
 
 from __future__ import annotations
@@ -28,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .dynamics import ClampSpec, check_count
+from .dynamics import ClampSpec, check_count, initial_state
 from .errors import InvalidParameterError
 from .model import Kind, Network, NetworkBuilder, Polarity
-from .montecarlo import trial_states
+from .montecarlo import BATCH, trial_states
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ class EquivalenceReport:
 
 def unroll(net: Network, t: int) -> FeedforwardNetwork:
     """Unroll a single-output recurrent network observed at round t (t >= 2)."""
-    if t < 2:
-        raise InvalidParameterError(f"unrolling needs t >= 2, got {t}")
+    check_count("t", t, 2)
     if len(net.output_ids) != 1:
         raise InvalidParameterError(
             f"unrolling needs a single designated output, got {len(net.output_ids)}"
@@ -135,88 +131,91 @@ def unroll(net: Network, t: int) -> FeedforwardNetwork:
 
 
 def _gate_ids(ff: FeedforwardNetwork) -> list[int]:
-    gates = [nid for layer in ff.layers for nid in layer]
-    gates.append(ff.out)
-    return gates
+    return [nid for layer in ff.layers for nid in layer] + [ff.out]
+
+
+def _layer_matrices(ff: FeedforwardNetwork):
+    """Dense (w, bias) per layer, the output last; w has a row per input, then
+    one per gate of the previous layer.  Rejects a gate whose |bias| + sum|w|
+    reaches 2**53, past which drive - bias could round."""
+    blocks, prev = [], ()
+    for layer in ff.layers + ((ff.out,),):
+        row = {nid: k for k, nid in enumerate(ff.inputs + prev)}
+        w = np.zeros((len(row), len(layer)))
+        for k, nid in enumerate(layer):
+            u = ff.net.neurons[nid]
+            if abs(u.bias) + sum(abs(v) for _, v in ff.net.incoming[nid]) >= 1 << 53:
+                raise InvalidParameterError(f"gate {u.name!r} (id {nid}): |bias| + sum|w| >= 2**53")
+            for pre, v in ff.net.incoming[nid]:
+                if pre in row:
+                    w[row[pre], k] += v
+        blocks.append((w, np.array([ff.net.neurons[nid].bias for nid in layer], dtype=np.float64)))
+        prev = layer
+    return blocks
+
+
+def _offsets(ff: FeedforwardNetwork, trials: int, seed: int):
+    """Logistic(0, lambda) offsets of ``trials`` circuits in (circuits, gates)
+    blocks of at most ``BATCH``; rows come from one stream in turn, so
+    circuit k does not depend on ``trials``."""
+    gen = np.random.default_rng([seed, 0x54433A])
+    gates = len(_gate_ids(ff))
+    for lo in range(0, trials, BATCH):
+        yield gen.logistic(0.0, float(ff.net.lam), size=(min(BATCH, trials - lo), gates))
+
+
+def _gate_bits(blocks: list, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Bool (circuits, gates) bits on input row ``x``: a gate fires iff
+    drive - bias >= its offset.  Every partial sum is an integer below 2**53,
+    so drive - bias is exact."""
+    bits = np.empty(offsets.shape, dtype=bool)
+    acts = np.zeros((len(offsets), 0))
+    lo = 0
+    for w, bias in blocks:
+        hi = lo + bias.size
+        pot = acts @ w[x.size:] + (x @ w[:x.size] - bias)
+        np.greater_equal(pot, offsets[:, lo:hi], out=bits[:, lo:hi])
+        acts = bits[:, lo:hi].astype(np.float64)
+        lo = hi
+    return bits
+
+
+def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, seed: int,
+                   record: list[int]) -> np.ndarray:
+    """Evaluate ``trials`` circuits drawn for ``seed`` on one input; returns
+    the bits of the ``record`` gates, bool array (trials, len(record)).
+
+    Offsets come from numpy's ``Generator.logistic`` seeded by ``[seed,
+    0x54433A]``; circuit 0 is :func:`sample_threshold_circuit`'s.
+    ``input_bits`` clamps inputs as in :func:`neuroram.dynamics.initial_state`.
+    """
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
+    col = {nid: k for k, nid in enumerate(_gate_ids(ff))}
+    if not set(record) <= col.keys():
+        raise InvalidParameterError(f"record ids must be gates of the circuit, got {list(record)}")
+    blocks = _layer_matrices(ff)
+    x = initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64)
+    return np.concatenate([_gate_bits(blocks, x, offsets)[:, [col[u] for u in record]]
+                           for offsets in _offsets(ff, trials, seed)])
 
 
 def sample_threshold_circuit(ff: FeedforwardNetwork, seed: int) -> ThresholdCircuit:
-    """Draw one deterministic circuit: per-gate logistic threshold, weights unchanged."""
+    """Draw one deterministic circuit, the first :func:`circuit_states` draws
+    for ``seed``: each gate's threshold is its bias plus a logistic offset."""
     check_count("seed", seed, 0)
-    scale = float(ff.net.lam)
     thresholds = [math.nan] * len(ff.net)
-    for pos, nid in enumerate(_gate_ids(ff)):
-        p = rng.unit(seed, rng.BIAS_STREAM, pos)
-        p = min(max(p, 2.0**-53), 1.0 - 2.0**-53)
-        thresholds[nid] = float(ff.net.neurons[nid].bias) + scale * (
-            math.log(p) - math.log1p(-p)
-        )
+    for nid, eta in zip(_gate_ids(ff), next(_offsets(ff, 1, seed))[0]):
+        thresholds[nid] = ff.net.neurons[nid].bias + float(eta)
     return ThresholdCircuit(ff=ff, thresholds=tuple(thresholds))
 
 
 def eval_threshold_circuit(tc: ThresholdCircuit, input_bits: ClampSpec) -> int:
-    """Deterministic layer-by-layer evaluation; returns the output gate's bit."""
-    return eval_threshold_circuit_values(tc, input_bits)[tc.ff.out]
-
-
-def eval_threshold_circuit_values(tc: ThresholdCircuit, input_bits: ClampSpec) -> list[int]:
-    """Evaluation exposing every gate's bit, indexed by neuron id."""
+    """The output gate's bit with inputs clamped as in ``initial_state``."""
     ff = tc.ff
-    net = ff.net
-    values = [0] * len(net)
-    for nid in ff.inputs:
-        values[nid] = int(input_bits.get(nid, 0))
-    for nid in _gate_ids(ff):
-        total = 0
-        for pre, w in net.incoming[nid]:
-            if values[pre]:
-                total += w
-        values[nid] = 1 if total >= tc.thresholds[nid] else 0
-    return values
-
-
-def _layer_matrices(ff: FeedforwardNetwork):
-    """Dense per-layer weight blocks for vectorized circuit evaluation."""
-    net = ff.net
-    n_in = len(ff.inputs)
-    input_pos = {nid: k for k, nid in enumerate(ff.inputs)}
-    blocks = []
-    prev_pos: dict[int, int] = {}
-    for layer in ff.layers + ((ff.out,),):
-        w_in = np.zeros((n_in, len(layer)), dtype=np.float64)
-        w_prev = np.zeros((max(len(prev_pos), 1), len(layer)), dtype=np.float64)
-        bias = np.zeros(len(layer), dtype=np.float64)
-        for k, nid in enumerate(layer):
-            bias[k] = float(net.neurons[nid].bias)
-            for pre, w in net.incoming[nid]:
-                if pre in input_pos:
-                    w_in[input_pos[pre], k] += w
-                elif pre in prev_pos:
-                    w_prev[prev_pos[pre], k] += w
-        blocks.append((w_in, w_prev, bias, len(layer)))
-        prev_pos = {nid: k for k, nid in enumerate(layer)}
-    return blocks
-
-
-def _circuit_fire_count(
-    ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, seed: int
-) -> int:
-    """Trials in which a freshly drawn circuit fires on the given input."""
-    x = np.array([float(input_bits.get(nid, 0)) for nid in ff.inputs], dtype=np.float64)
-    blocks = _layer_matrices(ff)
-    scale = float(ff.net.lam)
-    fired = 0
-    batch = 4096
-    for lo in range(0, trials, batch):
-        b = min(batch, trials - lo)
-        gen = np.random.default_rng([seed, 0x54433A, lo // batch])
-        acts = np.zeros((b, 1), dtype=np.float64)
-        for w_in, w_prev, bias, width in blocks:
-            drive = x @ w_in + (acts @ w_prev if w_prev.size else 0.0)
-            eta = gen.logistic(loc=bias, scale=scale, size=(b, width))
-            acts = (drive >= eta).astype(np.float64)
-        fired += int(acts[:, 0].sum())
-    return fired
+    x = initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64)
+    offsets = np.array([[tc.thresholds[nid] - ff.net.neurons[nid].bias for nid in _gate_ids(ff)]])
+    return int(_gate_bits(_layer_matrices(ff), x, offsets)[0, -1])
 
 
 def distribution_equivalence(
@@ -228,12 +227,11 @@ def distribution_equivalence(
 ) -> EquivalenceReport:
     """Estimate Pr[output fires at round t] both ways and compare.
 
-    Side one simulates the recurrent network; side two draws a fresh
-    deterministic circuit from the unrolled graph per trial and evaluates
-    it, drawing the logistic(bias, lambda) thresholds with numpy's
-    ``Generator.logistic`` seeded by ``[seed, 0x54433A, batch]``, 4096
-    trials per batch.  The two estimators target the same probability, so
-    the report flags |delta| beyond four binomial standard deviations.
+    Side one simulates the recurrent network with
+    :func:`neuroram.montecarlo.trial_states`; side two evaluates ``trials``
+    circuits drawn from the unrolled graph with :func:`circuit_states`.  The
+    two estimators target the same probability, so the report flags |delta|
+    beyond four binomial standard deviations.
     """
     if trials < 10_000:
         raise InvalidParameterError(f"need at least 1e4 trials, got {trials}")
@@ -246,7 +244,7 @@ def distribution_equivalence(
     states = trial_states(net, [(input_bits, t + 1)], trials, seed, [out])
     p_net = float(states[:, t, 0].mean())
     remapped = {new: input_bits[old] for old, new in zip(net.input_ids, ff.inputs)}
-    p_circ = _circuit_fire_count(ff, remapped, trials, seed) / trials
+    p_circ = float(circuit_states(ff, remapped, trials, seed, [ff.out]).mean())
     pooled = 0.5 * (p_net + p_circ)
     sigma = math.sqrt(max(pooled * (1.0 - pooled), 1e-12) * 2.0 / trials)
     return EquivalenceReport(

@@ -22,10 +22,7 @@ from neuroram.randomnets import random_network
 from neuroram.similarity import (
     build_similarity, sample_count, sampling_miss_count, similarity_positive_count,
 )
-from neuroram.transforms import (
-    distribution_equivalence, eval_threshold_circuit, sample_threshold_circuit,
-    unroll,
-)
+from neuroram.transforms import circuit_states, distribution_equivalence, unroll
 from neuroram.vclab import (
     count_dichotomies_detailed, grid_oracle_count, random_architecture,
 )
@@ -159,10 +156,7 @@ def test_criterion_6_derandomization_equivalence():
     b.add_synapse(xs[1], z, 3)
     gate_ff = unroll(b.build(), 2)
     bits = {nid: 1 for nid in gate_ff.inputs}
-    fired = sum(
-        eval_threshold_circuit(sample_threshold_circuit(gate_ff, seed=k), bits)
-        for k in range(100_000)
-    )
+    fired = int(circuit_states(gate_ff, bits, 100_000, 0, [gate_ff.out]).sum())
     marginal_delta = abs(fired / 100_000 - firing_probability(1, Fraction(1, 2)))
 
     small = random_network(11, n_inputs=3, n_aux=2, lam=Fraction(1, 4))

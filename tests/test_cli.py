@@ -195,6 +195,8 @@ def test_run_reports_missing_file(tmp_path, capsys):
 @pytest.mark.parametrize("arch_text, message", [
     ("{not json", "invalid JSON"),
     ("{}", "missing field 'gates'"),
+    ('{"inputs": 2, "gates": [{"sources": [0, 1], "weights": ["NaN", 1]}]}',
+     "not a finite number"),
 ])
 def test_vc_count_reports_bad_architecture_file(tmp_path, capsys, arch_text, message):
     arch_path = tmp_path / "arch.json"

@@ -91,8 +91,9 @@ def test_architecture_and_samples_fields_name_their_paths(tmp_path):
         architecture_from_json({})
     with pytest.raises(SchemaError, match=r"gates\[0\]: missing field 'weights'"):
         architecture_from_json({"inputs": 2, "gates": [{"sources": [0]}]})
-    with pytest.raises(SchemaError, match=r"gates\[0\].weights"):
-        architecture_from_json({"inputs": 2, "gates": [{"sources": [0], "weights": [None]}]})
+    for weight in (None, "NaN", "-inf", math.inf):
+        with pytest.raises(SchemaError, match=r"gates\[0\].weights"):
+            architecture_from_json({"inputs": 2, "gates": [{"sources": [0], "weights": [weight]}]})
     with pytest.raises(SchemaError, match="inputs"):
         architecture_from_json({"inputs": "two", "gates": [{"sources": [0], "weights": [1]}]})
 
@@ -135,7 +136,8 @@ def test_feedforward_and_circuit_roundtrip():
     assert eval_threshold_circuit(tc2, bits) == eval_threshold_circuit(tc, bits)
 
 
-@pytest.mark.parametrize("value", ["abc", [1.0], {"t": 1}, True])
+@pytest.mark.parametrize("value", ["abc", [1.0], {"t": 1}, True, None, math.nan, -math.inf,
+                                   "NaN", "inf", "1e400", 10**400])
 def test_circuit_threshold_must_be_a_number(tmp_path, value):
     ff = unroll(random_network(7, n_inputs=2, n_aux=2, lam=Fraction(1, 4)), 3)
     doc = circuit_to_json(sample_threshold_circuit(ff, seed=5))
@@ -145,5 +147,12 @@ def test_circuit_threshold_must_be_a_number(tmp_path, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=re.escape(f"{path}: thresholds[{gate}]")):
         load_circuit(path)
-    doc["thresholds"][gate] = None  # null stays NaN
-    assert math.isnan(circuit_from_json(doc).thresholds[gate])
+
+
+def test_circuit_input_threshold_must_be_null():
+    ff = unroll(random_network(7, n_inputs=2, n_aux=2, lam=Fraction(1, 4)), 3)
+    doc = circuit_to_json(sample_threshold_circuit(ff, seed=5))
+    assert [doc["thresholds"][nid] for nid in ff.inputs] == [None, None]
+    doc["thresholds"][ff.inputs[0]] = 0.5
+    with pytest.raises(SchemaError, match=re.escape(f"thresholds[{ff.inputs[0]}]")):
+        circuit_from_json(doc)

@@ -1,17 +1,19 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from neuroram.dynamics import firing_probability
 from neuroram.errors import InvalidParameterError
 from neuroram.model import Kind, NetworkBuilder, Polarity
-from neuroram.montecarlo import trial_states
+from neuroram.montecarlo import BATCH, trial_states
 from neuroram.ramnet import IndexInstance, build_neuro_ram, clamps_for
 from neuroram.randomnets import random_network
 from neuroram.transforms import (
-    distribution_equivalence, eval_threshold_circuit, eval_threshold_circuit_values,
+    _gate_ids, _offsets, circuit_states, distribution_equivalence, eval_threshold_circuit,
     sample_threshold_circuit, unroll,
 )
 
@@ -25,6 +27,22 @@ def single_gate_net(weights, bias, lam=Fraction(1, 2)):
     for x, w in zip(xs, weights):
         b.add_synapse(x, z, w)
     return b.build()
+
+
+def reference_gate_bits(ff, offsets, input_bits):
+    """Every gate's bit in _gate_ids order, one gate at a time in exact
+    integers: a gate fires iff drive - bias >= its offset."""
+    net = ff.net
+    values = [0] * len(net)
+    for nid in ff.inputs:
+        values[nid] = int(input_bits.get(nid, 0))
+    for nid, eta in zip(_gate_ids(ff), offsets):
+        total = -net.neurons[nid].bias
+        for pre, w in net.incoming[nid]:
+            if values[pre]:
+                total += w
+        values[nid] = 1 if total >= float(eta) else 0  # int vs float compares exactly
+    return [values[nid] for nid in _gate_ids(ff)]
 
 
 # --- unroll ----------------------------------------------------------------
@@ -65,8 +83,9 @@ def test_unroll_self_loop_reaches_output():
 
 def test_unroll_rejects_degenerate_cases():
     net = random_network(3, n_inputs=2, n_aux=2)
-    with pytest.raises(InvalidParameterError):
-        unroll(net, 1)
+    for t in (1, 2.5, True):
+        with pytest.raises(InvalidParameterError):
+            unroll(net, t)
     b = NetworkBuilder(Fraction(1))
     b.add_neuron("x", Kind.INPUT, Polarity.EXCITATORY, 0)
     b.add_neuron("z1", Kind.OUTPUT, Polarity.EXCITATORY, 0)
@@ -93,10 +112,7 @@ def test_single_gate_marginal_matches_sigmoid():
     ff = unroll(net, 2)
     bits = {nid: 1 for nid in ff.inputs}     # W = 5, margin +1
     samples = 100_000
-    fired = sum(
-        eval_threshold_circuit(sample_threshold_circuit(ff, seed=k), bits)
-        for k in range(samples)
-    )
+    fired = int(circuit_states(ff, bits, samples, 0, [ff.out]).sum())
     expected = firing_probability(5 - 4, Fraction(1, 2))
     assert abs(fired / samples - expected) < 0.01
 
@@ -106,11 +122,76 @@ def test_tiny_scale_collapses_to_deterministic_threshold():
     ff = unroll(net, 2)
     for bits, want in (({0: 1, 1: 1}, 1), ({0: 1, 1: 0}, 0), ({0: 0, 1: 0}, 0)):
         remapped = {nid: bits[k] for k, nid in enumerate(ff.inputs)}
-        got = [
-            eval_threshold_circuit(sample_threshold_circuit(ff, seed=s), remapped)
-            for s in range(50)
-        ]
+        got = circuit_states(ff, remapped, 50, 0, [ff.out])[:, 0].tolist()
         assert got == [want] * 50
+
+
+def test_sampled_circuit_is_the_first_circuit_states_draws():
+    ff = unroll(random_network(9, n_inputs=2, n_aux=2), 3)
+    for seed in (0, 7):
+        tc = sample_threshold_circuit(ff, seed)
+        first = next(_offsets(ff, BATCH + 37, seed))[0]
+        assert [tc.thresholds[nid] for nid in _gate_ids(ff)] == [
+            ff.net.neurons[nid].bias + float(eta) for nid, eta in zip(_gate_ids(ff), first)]
+        for pattern in product((0, 1), repeat=len(ff.inputs)):
+            bits = dict(zip(ff.inputs, pattern))
+            first_bit = circuit_states(ff, bits, 3, seed, [ff.out])[0, 0]
+            assert eval_threshold_circuit(tc, bits) == first_bit
+
+
+def test_circuits_do_not_depend_on_the_trial_count():
+    ff = unroll(random_network(2, n_inputs=3, n_aux=3), 4)
+    bits = {nid: k % 2 for k, nid in enumerate(ff.inputs)}
+    gates = _gate_ids(ff)
+    short = circuit_states(ff, bits, BATCH + 37, 5, gates)
+    long = circuit_states(ff, bits, 2 * BATCH + 5, 5, gates)
+    assert np.array_equal(short, long[:BATCH + 37])
+
+
+@pytest.mark.parametrize("seed, weights", [(2, 3), (9, 3), (11, 2**48)])
+def test_evaluator_matches_the_per_gate_integer_loop(seed, weights):
+    net = random_network(seed, n_inputs=3, n_aux=3, max_weight=weights, max_bias=weights)
+    ff = unroll(net, 4)
+    gates = _gate_ids(ff)
+    offsets = next(_offsets(ff, 64, seed))
+    for pattern in product((0, 1), repeat=len(ff.inputs)):
+        bits = dict(zip(ff.inputs, pattern))
+        got = circuit_states(ff, bits, 64, seed, gates)
+        assert got.astype(int).tolist() == [reference_gate_bits(ff, row, bits) for row in offsets]
+
+
+@pytest.mark.parametrize("e", [48, 50])
+def test_zero_potential_stays_exact_beside_large_weights(e):
+    # weights (2**e, 1, 1), bias 2**e + 2, every input on: potential 0, so
+    # the circuit fires with probability 1/2 however large the weights.
+    net = single_gate_net((2**e, 1, 1), bias=2**e + 2, lam=Fraction(1, 4))
+    rep = distribution_equivalence(net, {u: 1 for u in net.input_ids}, t=2,
+                                   trials=100_000, seed=4)
+    assert abs(rep.p_circuit - 0.5) < 0.01
+    assert rep.ok
+
+
+def test_circuits_reject_gates_past_exact_float_potentials():
+    ff = unroll(single_gate_net((2**52, 1, 1), bias=2**52 + 2, lam=Fraction(1, 4)), 2)
+    bits = {nid: 1 for nid in ff.inputs}
+    with pytest.raises(InvalidParameterError, match=r"gate 'z@1'.*2\*\*53"):
+        circuit_states(ff, bits, 10, 0, [ff.out])
+    with pytest.raises(InvalidParameterError, match="gate 'z@1'"):
+        eval_threshold_circuit(sample_threshold_circuit(ff, 0), bits)
+
+
+def test_circuit_states_rejects_bad_arguments():
+    ff = unroll(random_network(2, n_inputs=3, n_aux=3), 3)
+    bits = {nid: 1 for nid in ff.inputs}
+    for trials, seed, record in ((0, 0, [ff.out]), (10, -1, [ff.out]), (10, 0, [ff.inputs[0]])):
+        with pytest.raises(InvalidParameterError):
+            circuit_states(ff, bits, trials, seed, record)
+    tc = sample_threshold_circuit(ff, 0)
+    for clamps in ({ff.out: 1}, {ff.inputs[0]: 2}):
+        with pytest.raises(InvalidParameterError):
+            circuit_states(ff, clamps, 10, 0, [ff.out])
+        with pytest.raises(InvalidParameterError):
+            eval_threshold_circuit(tc, clamps)
 
 
 def test_eval_examples():
@@ -199,11 +280,8 @@ def test_joint_layer_distribution_total_variation():
 
     ff = unroll(net, t)
     remapped = {new: clamps[old] for old, new in zip(net.input_ids, ff.inputs)}
-    circ_counts: Counter = Counter()
-    for k in range(samples):
-        tc = sample_threshold_circuit(ff, seed=5_000_000 + k)
-        values = eval_threshold_circuit_values(tc, remapped)
-        circ_counts[tuple(values[nid] for nid in ff.layers[-1])] += 1
+    circ = circuit_states(ff, remapped, samples, 5_000_000, list(ff.layers[-1]))
+    circ_counts = Counter(tuple(int(b) for b in row) for row in circ)
 
     atoms = set(snn_counts) | set(circ_counts)
     tv = 0.5 * sum(
