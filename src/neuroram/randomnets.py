@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from .model import Kind, Network, NetworkBuilder, Polarity
 
+EDGE_PROB = 0.6
+
 
 def random_network(
     seed: int,
@@ -15,14 +17,13 @@ def random_network(
     lam: Fraction = Fraction(1, 4),
     max_weight: int = 3,
     max_bias: int = 3,
-    edge_prob: float = 0.6,
-    self_loops: bool = True,
 ) -> Network:
     """Random single-output network respecting the structural rules.
 
     Each non-input neuron gets a random polarity; weights carry the
     polarity's sign.  Inputs never receive edges; edge presence is an
-    independent coin per allowed (pre, post) pair.
+    independent ``EDGE_PROB`` coin per allowed (pre, post) pair, self-loops
+    included.
     """
     gen = random.Random(seed)
     b = NetworkBuilder(Fraction(lam))
@@ -42,12 +43,10 @@ def random_network(
 
     for x in inputs:
         for post, _ in body:
-            if gen.random() < edge_prob:
+            if gen.random() < EDGE_PROB:
                 b.add_synapse(x, post, gen.randint(1, max_weight))
     for pre, pol in body:
         for post, _ in body:
-            if pre == post and not self_loops:
-                continue
-            if gen.random() < edge_prob:
+            if gen.random() < EDGE_PROB:
                 b.add_synapse(pre, post, sign(pol) * gen.randint(1, max_weight))
     return b.build()

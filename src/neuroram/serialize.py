@@ -166,37 +166,34 @@ def load_network(path: str | Path) -> Network:
 
 def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
     doc = network_to_json(ff.net)
-    doc["feedforward"] = {
-        "inputs": list(ff.inputs),
-        "layers": [list(layer) for layer in ff.layers],
-        "out": ff.out,
-    }
+    doc["feedforward"] = {"layers": [list(layer) for layer in ff.layers]}
     return doc
 
 
 def feedforward_from_json(doc: Any) -> FeedforwardNetwork:
     net = network_from_json(doc)
     raw = _object(_require(doc, "feedforward", "root"), "feedforward")
-    inputs = tuple(_parse_int(v, "feedforward.inputs")
-                   for v in _list(_require(raw, "inputs", "feedforward"), "feedforward.inputs"))
+    if len(net.output_ids) != 1:
+        raise SchemaError(f"feedforward: expected a network with exactly one output, "
+                          f"got {len(net.output_ids)}")
     layers = tuple(
         tuple(_parse_int(v, f"feedforward.layers[{i}]")
               for v in _list(layer, f"feedforward.layers[{i}]"))
         for i, layer in enumerate(_list(_require(raw, "layers", "feedforward"),
                                         "feedforward.layers"))
     )
-    out = _parse_int(_require(raw, "out", "feedforward"), "feedforward.out")
-    if inputs != net.input_ids:
-        raise SchemaError(f"feedforward.inputs: expected the network's inputs "
-                          f"{list(net.input_ids)}, got {list(inputs)}")
-    if (out,) != net.output_ids:
-        raise SchemaError(f"feedforward.out: expected the network's single output "
-                          f"{list(net.output_ids)}, got {out}")
     aux = [u.id for u in net.neurons if u.kind is Kind.AUXILIARY]
     if sorted(v for layer in layers for v in layer) != aux or len(set(map(len, layers))) > 1:
         raise SchemaError("feedforward.layers: expected every auxiliary neuron exactly once, "
                           "in layers of equal width")
-    return FeedforwardNetwork(net=net, inputs=inputs, layers=layers, out=out)
+    # circuits read only these edges, so any other would silently drop out
+    depth = {nid: k for k, layer in enumerate(layers + (net.output_ids,), 1) for nid in layer}
+    depth.update((nid, 0) for nid in net.input_ids)
+    for i, s in enumerate(net.synapses):
+        if not depth.get(s.post) or depth[s.pre] not in (0, depth[s.post] - 1):
+            raise SchemaError(f"synapses[{i}]: expected an edge from an input or the "
+                              f"previous layer into a gate, got {s.pre} -> {s.post}")
+    return FeedforwardNetwork(net=net, layers=layers)
 
 
 def save_feedforward(ff: FeedforwardNetwork, path: str | Path) -> None:
@@ -209,24 +206,18 @@ def load_feedforward(path: str | Path) -> FeedforwardNetwork:
 
 def circuit_to_json(tc: ThresholdCircuit) -> dict:
     doc = feedforward_to_json(tc.ff)
-    doc["thresholds"] = [
-        None if math.isnan(th) else th for th in tc.thresholds
-    ]
+    doc["offsets"] = list(tc.offsets)
     return doc
 
 
 def circuit_from_json(doc: Any) -> ThresholdCircuit:
     ff = feedforward_from_json(doc)
-    raw = _require(doc, "thresholds", "root")
-    if not isinstance(raw, list) or len(raw) != len(ff.net):
-        raise SchemaError("thresholds: expected one entry per neuron")
-    inputs = set(ff.inputs)
-    for nid in ff.inputs:
-        if raw[nid] is not None:
-            raise SchemaError(f"thresholds[{nid}]: expected null for an input, got {raw[nid]!r}")
-    thresholds = tuple(math.nan if i in inputs else _parse_float(v, f"thresholds[{i}]")
-                       for i, v in enumerate(raw))
-    return ThresholdCircuit(ff=ff, thresholds=thresholds)
+    raw = _list(_require(doc, "offsets", "root"), "offsets")
+    offsets = tuple(_parse_float(v, f"offsets[{k}]") for k, v in enumerate(raw))
+    try:
+        return ThresholdCircuit(ff=ff, offsets=offsets)
+    except InvalidParameterError as exc:
+        raise SchemaError(f"offsets: {exc}") from None
 
 
 def save_circuit(tc: ThresholdCircuit, path: str | Path) -> None:

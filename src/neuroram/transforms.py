@@ -12,11 +12,13 @@ distribution of the output at round t is untouched.
 The circuit half then removes the stochastic units: each gate's threshold
 is its bias plus an offset drawn once from the logistic law with the
 temperature as scale.  The logistic CDF is the firing sigmoid, so for any
-fixed presynaptic pattern the probability (over the drawn threshold) that
+fixed presynaptic pattern the probability (over the drawn offset) that
 the deterministic gate fires equals the stochastic firing probability --
 the network's output distribution is realized as a random draw of a
 deterministic linear threshold circuit.  One sampler, ``_offsets``, and
-one evaluator, ``_gate_bits``, serve every circuit path.
+one evaluator, ``_gate_bits``, serve every circuit path; a stored circuit
+is its row of offsets, compared with the exact drive - bias, so the
+threshold bias + offset is never rounded into one float.
 """
 
 from __future__ import annotations
@@ -34,12 +36,20 @@ from .montecarlo import BATCH, trial_states
 
 @dataclass(frozen=True)
 class FeedforwardNetwork:
-    """Layered acyclic network produced by unrolling."""
+    """Layered acyclic network produced by unrolling: ``net`` plus its
+    auxiliary neurons grouped in layers; the inputs and the single output
+    are the net's, and the output gate reads the last layer."""
 
     net: Network
-    inputs: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
-    out: int
+
+    @property
+    def inputs(self) -> tuple[int, ...]:
+        return self.net.input_ids
+
+    @property
+    def out(self) -> int:
+        return self.net.output_ids[0]
 
     @property
     def auxiliary_count(self) -> int:
@@ -55,12 +65,19 @@ class FeedforwardNetwork:
 class ThresholdCircuit:
     """Deterministic linear threshold circuit over an unrolled graph.
 
-    Shares the feedforward network's edges and weights; each gate carries a
-    real threshold and fires iff its weighted input sum is >= the threshold.
+    Shares the feedforward network's edges and weights; ``offsets`` holds
+    one drawn offset per gate in layer order, the output last.  A gate fires
+    iff its weighted input sum minus its bias is >= its offset, so its
+    threshold is exactly bias + offset.
     """
 
     ff: FeedforwardNetwork
-    thresholds: tuple[float, ...]  # indexed by neuron id; inputs carry nan
+    offsets: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.offsets) != (gates := self.ff.auxiliary_count + 1):
+            raise InvalidParameterError(
+                f"expected one offset per gate ({gates}), got {len(self.offsets)}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +142,7 @@ def unroll(net: Network, t: int) -> FeedforwardNetwork:
         else:
             b.add_synapse(copy_of[s.pre], new_out, s.weight)
 
-    return FeedforwardNetwork(
-        net=b.build(), inputs=new_inputs, layers=tuple(layers), out=new_out
-    )
+    return FeedforwardNetwork(net=b.build(), layers=tuple(layers))
 
 
 def _gate_ids(ff: FeedforwardNetwork) -> list[int]:
@@ -202,20 +217,18 @@ def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, s
 
 def sample_threshold_circuit(ff: FeedforwardNetwork, seed: int) -> ThresholdCircuit:
     """Draw one deterministic circuit, the first :func:`circuit_states` draws
-    for ``seed``: each gate's threshold is its bias plus a logistic offset."""
+    for ``seed``: one logistic offset per gate.  Rejects the gates that
+    :func:`circuit_states` rejects."""
     check_count("seed", seed, 0)
-    thresholds = [math.nan] * len(ff.net)
-    for nid, eta in zip(_gate_ids(ff), next(_offsets(ff, 1, seed))[0]):
-        thresholds[nid] = ff.net.neurons[nid].bias + float(eta)
-    return ThresholdCircuit(ff=ff, thresholds=tuple(thresholds))
+    _layer_matrices(ff)
+    return ThresholdCircuit(ff=ff, offsets=tuple(next(_offsets(ff, 1, seed))[0].tolist()))
 
 
 def eval_threshold_circuit(tc: ThresholdCircuit, input_bits: ClampSpec) -> int:
     """The output gate's bit with inputs clamped as in ``initial_state``."""
     ff = tc.ff
     x = initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64)
-    offsets = np.array([[tc.thresholds[nid] - ff.net.neurons[nid].bias for nid in _gate_ids(ff)]])
-    return int(_gate_bits(_layer_matrices(ff), x, offsets)[0, -1])
+    return int(_gate_bits(_layer_matrices(ff), x, np.array([tc.offsets]))[0, -1])
 
 
 def distribution_equivalence(

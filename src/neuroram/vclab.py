@@ -29,6 +29,8 @@ from typing import Sequence
 from .errors import InvalidParameterError, ResourceBudgetError
 
 LOG2_E = math.log2(math.e)
+MAX_LEAVES = 10_000_000  # search leaves or grid cells x samples per count
+MAX_SUBSETS = 1_000_000  # candidate sample sets in vc_by_enumeration
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class Gate:
 
 @dataclass(frozen=True)
 class VarThresholdArchitecture:
-    """Fixed acyclic gate graph with free per-gate thresholds."""
+    """Fixed acyclic gate graph with a free threshold per gate."""
 
     d: int
     gates: tuple[Gate, ...]
@@ -90,31 +92,28 @@ def _gate_patterns(gate: Gate, sample_vals: list[list[float]]) -> list[tuple[int
     return patterns
 
 
-def count_dichotomies(
-    arch: VarThresholdArchitecture,
-    samples: Sequence[tuple[int, ...]],
-    budget: int = 10_000_000,
-) -> int:
-    return count_dichotomies_detailed(arch, samples, budget)[0]
+def count_dichotomies(arch: VarThresholdArchitecture, samples: Sequence[tuple[int, ...]]) -> int:
+    return count_dichotomies_detailed(arch, samples)[0]
 
 
 def count_dichotomies_detailed(
     arch: VarThresholdArchitecture,
     samples: Sequence[tuple[int, ...]],
-    budget: int = 10_000_000,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact dichotomy count plus the per-gate maximum pattern count seen.
 
     The per-gate maxima feed the product bound: the count can never exceed
     their product, since the search tree has at most that many leaves.
+    Searches that could pass :data:`MAX_LEAVES` leaves raise
+    :class:`ResourceBudgetError`.
     """
     _check_samples(arch, samples)
     z = len(samples)
     if z == 0:
         return 1, tuple(1 for _ in arch.gates)
-    if (z + 1) ** arch.m > budget:
+    if (z + 1) ** arch.m > MAX_LEAVES:
         raise ResourceBudgetError(
-            f"(z+1)^m = {(z + 1) ** arch.m} exceeds budget {budget}"
+            f"(z+1)^m = {(z + 1) ** arch.m} exceeds the budget of {MAX_LEAVES}"
         )
 
     labelings: set[tuple[int, ...]] = set()
@@ -128,8 +127,8 @@ def count_dichotomies_detailed(
         nonlocal visited
         if k == arch.m:
             visited += 1
-            if visited > budget:
-                raise ResourceBudgetError(f"enumeration exceeded budget {budget}")
+            if visited > MAX_LEAVES:
+                raise ResourceBudgetError(f"enumeration exceeded the budget of {MAX_LEAVES}")
             labelings.add(tuple(int(vals[arch.d + arch.output]) for vals in base))
             return
         patterns = _gate_patterns(arch.gates[k], base)
@@ -167,11 +166,7 @@ def sauer_lower(class_size: int, n: int) -> float:
     return math.log2(class_size) / (math.log2(n) + LOG2_E)
 
 
-def grid_oracle_count(
-    arch: VarThresholdArchitecture,
-    samples: Sequence[tuple[int, ...]],
-    budget: int = 10_000_000,
-) -> int:
+def grid_oracle_count(arch: VarThresholdArchitecture, samples: Sequence[tuple[int, ...]]) -> int:
     """Brute-force dichotomy count from dense per-gate threshold grids.
 
     Each gate's grid holds every achievable subset sum of its in-weights
@@ -179,7 +174,8 @@ def grid_oracle_count(
     appears regardless of what upstream gates do.  The full circuit is
     evaluated for every grid combination (vectorized over combinations).
     Deliberately independent of the conditional enumeration in
-    :func:`count_dichotomies`.
+    :func:`count_dichotomies`.  Grids past :data:`MAX_LEAVES` cells times
+    samples raise :class:`ResourceBudgetError`.
     """
     _check_samples(arch, samples)
     if not samples:
@@ -195,8 +191,8 @@ def grid_oracle_count(
         eps = min(gaps) / 2 if gaps else 1.0
         grids.append(np.array(sorted({v for s in sums for v in (s, s + eps)})))
     combos = math.prod(len(g) for g in grids)
-    if combos * z > budget:
-        raise ResourceBudgetError(f"grid size {combos} x {z} exceeds budget {budget}")
+    if combos * z > MAX_LEAVES:
+        raise ResourceBudgetError(f"grid size {combos} x {z} exceeds the budget of {MAX_LEAVES}")
     thetas = [m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")]
     x = np.array(samples, dtype=np.float64)
     gate_vals: list[np.ndarray] = []
@@ -212,22 +208,19 @@ def grid_oracle_count(
     return int(np.unique(labels, axis=0).shape[0])
 
 
-def vc_by_enumeration(
-    arch: VarThresholdArchitecture,
-    max_z: int,
-    budget: int = 1_000_000,
-) -> int:
+def vc_by_enumeration(arch: VarThresholdArchitecture, max_z: int) -> int:
     """Exact VC dimension on the {0,1}^d domain, capped at max_z.
 
     Searches for a shattered sample set of each size; stops at the first
-    size with none, since shattering is closed under taking subsets.
+    size with none, since shattering is closed under taking subsets.  More
+    than :data:`MAX_SUBSETS` candidate sets raise :class:`ResourceBudgetError`.
     """
     domain = list(product((0, 1), repeat=arch.d))
     limit = min(max_z, len(domain))
     total_subsets = sum(math.comb(len(domain), zz) for zz in range(1, limit + 1))
-    if total_subsets > budget:
+    if total_subsets > MAX_SUBSETS:
         raise ResourceBudgetError(
-            f"{total_subsets} candidate subsets exceed budget {budget}"
+            f"{total_subsets} candidate subsets exceed the budget of {MAX_SUBSETS}"
         )
     best = 0
     for zz in range(1, limit + 1):

@@ -2,6 +2,7 @@ import json
 import shlex
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from neuroram import experiments
 from neuroram.cli import build_parser, main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
+from neuroram.model import Kind, NetworkBuilder, Polarity
 from neuroram.ramnet import IndexInstance, build_neuro_ram, index_hits
-from neuroram.serialize import load_feedforward, load_network, save_network
+from neuroram.serialize import load_circuit, load_feedforward, load_network, save_network
 from neuroram.randomnets import random_network
 from neuroram.similarity import MAX_PROBES
+from neuroram.transforms import _offsets, circuit_states, eval_threshold_circuit
 
 
 def test_build_and_index_pipeline(tmp_path, capsys):
@@ -68,7 +71,12 @@ def test_unroll_derandomize_equiv_pipeline(tmp_path, capsys):
 
     assert main(["derandomize", "--net", str(ff_path), "--seed", "7",
                  "--out", str(tc_path)]) == 0
-    assert tc_path.exists()
+    tc = load_circuit(tc_path)
+    assert tc.ff == ff
+    assert tc.offsets == tuple(next(_offsets(ff, 1, 7))[0])
+    for pattern in product((0, 1), repeat=len(ff.inputs)):
+        bits = dict(zip(ff.inputs, pattern))
+        assert eval_threshold_circuit(tc, bits) == circuit_states(ff, bits, 1, 7, [ff.out])[0, 0]
 
     code = main(["equiv", "--net", str(net_path), "--inputs", "101", "--t", "4",
                  "--trials", "20000", "--seed", "2"])
@@ -92,25 +100,43 @@ def _regrouped(layers):
     return [flat[:len(layers[0]) + 1], flat[len(layers[0]) + 1:]]
 
 
+def _set_layers(edit):
+    def apply(doc):
+        doc["feedforward"]["layers"] = edit(doc["feedforward"]["layers"])
+    return apply
+
+
+def _add_synapse(pre, post):
+    """Put a synapse first; ``pre`` and ``post`` map (layers, output id) to ids."""
+    def apply(doc):
+        layers, out = doc["feedforward"]["layers"], len(doc["neurons"]) - 1
+        doc["synapses"].insert(0, {"pre": pre(layers, out), "post": post(layers, out),
+                                   "weight": "-50"})
+    return apply
+
+
+def _add_output(doc):
+    doc["neurons"].append({"id": len(doc["neurons"]), "name": "z2", "kind": "output",
+                           "polarity": "excitatory", "bias": "0"})
+
+
 @pytest.mark.parametrize("field, edit", [
-    ("feedforward.inputs", lambda ff: 5),
-    ("feedforward.layers", lambda ff: 5),
-    ("feedforward.layers[0]", lambda ff: [5]),
-    ("feedforward.inputs", lambda ff: ff["inputs"][::-1]),
-    ("feedforward.inputs", lambda ff: ff["inputs"][:-1]),
-    ("feedforward.out", lambda ff: 999),
-    ("feedforward.out", lambda ff: ff["inputs"][0]),
-    ("feedforward.layers", lambda ff: [[0]]),
-    ("feedforward.layers", lambda ff: ff["layers"][:-1]),
-    ("feedforward.layers", lambda ff: ff["layers"] + [ff["layers"][0]]),
-    ("feedforward.layers", lambda ff: _regrouped(ff["layers"])),
-], ids=["inputs-int", "layers-int", "layer-int", "inputs-order", "inputs-short",
-        "out-999", "out-input", "layers-one-input", "layers-missing", "layers-repeated",
-        "layers-unequal"])
+    ("feedforward.layers", _set_layers(lambda layers: 5)),
+    ("feedforward.layers[0]", _set_layers(lambda layers: [5])),
+    ("feedforward.layers", _set_layers(lambda layers: [[0]])),
+    ("feedforward.layers", _set_layers(lambda layers: layers[:-1])),
+    ("feedforward.layers", _set_layers(lambda layers: layers + [layers[0]])),
+    ("feedforward.layers", _set_layers(_regrouped)),
+    ("feedforward", _add_output),
+    ("synapses[0]", _add_synapse(lambda layers, out: layers[0][3], lambda layers, out: out)),
+    ("synapses[0]", _add_synapse(lambda layers, out: layers[1][0],
+                                 lambda layers, out: layers[0][0])),
+    ("synapses[0]", _add_synapse(lambda layers, out: layers[0][0], lambda layers, out: 0)),
+], ids=["layers-int", "layer-int", "layers-one-input", "layers-missing", "layers-repeated",
+        "layers-unequal", "two-outputs", "skip-edge", "backward-edge", "edge-into-input"])
 def test_derandomize_rejects_inconsistent_feedforward_block(tmp_path, capsys, field, edit):
     doc = json.loads(_unrolled(tmp_path).read_text())
-    key = field.split(".")[1].split("[")[0]
-    doc["feedforward"][key] = edit(doc["feedforward"])
+    edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -119,6 +145,24 @@ def test_derandomize_rejects_inconsistent_feedforward_block(tmp_path, capsys, fi
     assert code == 2
     assert f"{bad}: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "tc.json").exists()
+
+
+def test_derandomize_rejects_gates_past_exact_float_potentials(tmp_path, capsys):
+    # weights (2**60, 1, 1), bias 2**60 + 2: an offset added to the bias
+    # would round away, so no circuit is written
+    b = NetworkBuilder(Fraction(1, 4))
+    xs = [b.add_neuron(f"x{i}", Kind.INPUT, Polarity.EXCITATORY, 0) for i in range(3)]
+    z = b.add_neuron("z", Kind.OUTPUT, Polarity.EXCITATORY, 2**60 + 2)
+    for x, w in zip(xs, (2**60, 1, 1)):
+        b.add_synapse(x, z, w)
+    net_path, ff_path, tc_path = (tmp_path / name for name in ("net.json", "ff.json", "tc.json"))
+    save_network(b.build(), net_path)
+    assert main(["unroll", "--net", str(net_path), "--t", "2", "--out", str(ff_path)]) == 0
+    capsys.readouterr()
+    code = main(["derandomize", "--net", str(ff_path), "--seed", "0", "--out", str(tc_path)])
+    assert code == 2
+    assert "gate 'z@1'" in capsys.readouterr().err
+    assert not tc_path.exists()
 
 
 def test_derandomize_rejects_negative_seed(tmp_path, capsys):

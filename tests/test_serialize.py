@@ -131,7 +131,7 @@ def test_feedforward_and_circuit_roundtrip():
     tc = sample_threshold_circuit(ff, seed=5)
     doc = json.loads(json.dumps(circuit_to_json(tc)))
     tc2 = circuit_from_json(doc)
-    assert tc2.thresholds == tc.thresholds  # repr-exact float round trip
+    assert tc2.offsets == tc.offsets  # repr-exact float round trip
     bits = {nid: 1 for nid in ff.inputs}
     assert eval_threshold_circuit(tc2, bits) == eval_threshold_circuit(tc, bits)
 
@@ -141,18 +141,18 @@ def test_feedforward_and_circuit_roundtrip():
 def test_circuit_threshold_must_be_a_number(tmp_path, value):
     ff = unroll(random_network(7, n_inputs=2, n_aux=2, lam=Fraction(1, 4)), 3)
     doc = circuit_to_json(sample_threshold_circuit(ff, seed=5))
-    gate = ff.out
-    doc["thresholds"][gate] = value
+    k = len(doc["offsets"]) - 1  # the output gate
+    doc["offsets"][k] = value
     path = tmp_path / "tc.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=re.escape(f"{path}: thresholds[{gate}]")):
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: offsets[{k}]")):
         load_circuit(path)
 
 
-def test_circuit_input_threshold_must_be_null():
+def test_circuit_needs_one_offset_per_gate():
     ff = unroll(random_network(7, n_inputs=2, n_aux=2, lam=Fraction(1, 4)), 3)
     doc = circuit_to_json(sample_threshold_circuit(ff, seed=5))
-    assert [doc["thresholds"][nid] for nid in ff.inputs] == [None, None]
-    doc["thresholds"][ff.inputs[0]] = 0.5
-    with pytest.raises(SchemaError, match=re.escape(f"thresholds[{ff.inputs[0]}]")):
+    assert len(doc["offsets"]) == ff.auxiliary_count + 1
+    doc["offsets"].append(0.5)
+    with pytest.raises(SchemaError, match=re.escape("offsets: expected one offset per gate")):
         circuit_from_json(doc)

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,8 +12,8 @@ from neuroram.montecarlo import BATCH, trial_states
 from neuroram.ramnet import IndexInstance, build_neuro_ram, clamps_for
 from neuroram.randomnets import random_network
 from neuroram.transforms import (
-    _gate_ids, _offsets, circuit_states, distribution_equivalence, eval_threshold_circuit,
-    sample_threshold_circuit, unroll,
+    ThresholdCircuit, _gate_ids, _offsets, circuit_states, distribution_equivalence,
+    eval_threshold_circuit, sample_threshold_circuit, unroll,
 )
 
 
@@ -101,8 +100,8 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_threshold_circuit(ff, seed=3)
     b = sample_threshold_circuit(ff, seed=3)
     c = sample_threshold_circuit(ff, seed=4)
-    assert a.thresholds == b.thresholds
-    assert a.thresholds != c.thresholds
+    assert a.offsets == b.offsets
+    assert a.offsets != c.offsets
 
 
 def test_single_gate_marginal_matches_sigmoid():
@@ -126,13 +125,18 @@ def test_tiny_scale_collapses_to_deterministic_threshold():
         assert got == [want] * 50
 
 
-def test_sampled_circuit_is_the_first_circuit_states_draws():
-    ff = unroll(random_network(9, n_inputs=2, n_aux=2), 3)
-    for seed in (0, 7):
+@pytest.mark.parametrize("net, seeds", [
+    (random_network(9, n_inputs=2, n_aux=2), (0, 7)),
+    # potential 0 beside weights near 2**53: an offset added to the bias
+    # as one float would round away
+    *((single_gate_net((2**e, 1, 1), bias=2**e + 2, lam=Fraction(1, 4)), range(300))
+      for e in (48, 50, 51)),
+], ids=["random", "e48", "e50", "e51"])
+def test_sampled_circuit_is_the_first_circuit_states_draws(net, seeds):
+    ff = unroll(net, 3)
+    for seed in seeds:
         tc = sample_threshold_circuit(ff, seed)
-        first = next(_offsets(ff, BATCH + 37, seed))[0]
-        assert [tc.thresholds[nid] for nid in _gate_ids(ff)] == [
-            ff.net.neurons[nid].bias + float(eta) for nid, eta in zip(_gate_ids(ff), first)]
+        assert tc.offsets == tuple(next(_offsets(ff, BATCH + 37, seed))[0])
         for pattern in product((0, 1), repeat=len(ff.inputs)):
             bits = dict(zip(ff.inputs, pattern))
             first_bit = circuit_states(ff, bits, 3, seed, [ff.out])[0, 0]
@@ -177,7 +181,9 @@ def test_circuits_reject_gates_past_exact_float_potentials():
     with pytest.raises(InvalidParameterError, match=r"gate 'z@1'.*2\*\*53"):
         circuit_states(ff, bits, 10, 0, [ff.out])
     with pytest.raises(InvalidParameterError, match="gate 'z@1'"):
-        eval_threshold_circuit(sample_threshold_circuit(ff, 0), bits)
+        sample_threshold_circuit(ff, 0)
+    with pytest.raises(InvalidParameterError, match="gate 'z@1'"):
+        eval_threshold_circuit(ThresholdCircuit(ff, offsets=(0.0, 0.0)), bits)
 
 
 def test_circuit_states_rejects_bad_arguments():
@@ -187,6 +193,9 @@ def test_circuit_states_rejects_bad_arguments():
         with pytest.raises(InvalidParameterError):
             circuit_states(ff, bits, trials, seed, record)
     tc = sample_threshold_circuit(ff, 0)
+    for offsets in (tc.offsets[:-1], tc.offsets + (0.0,)):
+        with pytest.raises(InvalidParameterError, match="one offset per gate"):
+            ThresholdCircuit(ff, offsets)
     for clamps in ({ff.out: 1}, {ff.inputs[0]: 2}):
         with pytest.raises(InvalidParameterError):
             circuit_states(ff, clamps, 10, 0, [ff.out])
@@ -197,28 +206,19 @@ def test_circuit_states_rejects_bad_arguments():
 def test_eval_examples():
     net = single_gate_net((0,), bias=1, lam=Fraction(1))
     ff = unroll(net, 2)
-    tc = sample_threshold_circuit(ff, seed=0)
-    tc = tc.__class__(ff=ff, thresholds=tuple(
-        0.5 if not math.isnan(t) else t for t in tc.thresholds
-    ))
+    tc = ThresholdCircuit(ff, offsets=(-0.5, -0.5))  # thresholds 0.5
     assert eval_threshold_circuit(tc, {ff.inputs[0]: 1}) == 0  # all weights zero... bias>0
 
     net = single_gate_net((2,), bias=0)
     ff = unroll(net, 2)
-    tc = sample_threshold_circuit(ff, seed=0)
-    thresholds = list(tc.thresholds)
-    thresholds[ff.out] = 1.0
-    tc = tc.__class__(ff=ff, thresholds=tuple(thresholds))
+    tc = ThresholdCircuit(ff, offsets=(0.0, 1.0))  # the output gate is last
     assert eval_threshold_circuit(tc, {ff.inputs[0]: 1}) == 1  # W=2 >= eta=1
 
 
 def test_and_gate_truth_table():
     net = single_gate_net((2, 2), bias=3)
     ff = unroll(net, 2)
-    tc = sample_threshold_circuit(ff, seed=1)
-    thresholds = list(tc.thresholds)
-    thresholds[ff.out] = 3.0
-    tc = tc.__class__(ff=ff, thresholds=tuple(thresholds))
+    tc = ThresholdCircuit(ff, offsets=(0.0, 0.0))  # output threshold 3
     table = [
         eval_threshold_circuit(tc, {ff.inputs[0]: a, ff.inputs[1]: b})
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))

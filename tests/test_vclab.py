@@ -94,7 +94,7 @@ def test_budget_guard():
     )
     samples = list(product((0, 1), repeat=4))
     with pytest.raises(ResourceBudgetError):
-        count_dichotomies(arch, samples, budget=10_000)
+        count_dichotomies(arch, samples)  # 17**8 ~ 7.0e9 search leaves
 
 
 # --- bounds -----------------------------------------------------------------
@@ -148,9 +148,9 @@ def test_enumerated_vc_respects_circuit_bound():
 
 
 def test_vc_budget_guard():
-    arch = single_gate((1.0, 1.0, 1.0, 1.0))
+    arch = single_gate((1.0, 1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ResourceBudgetError):
-        vc_by_enumeration(arch, max_z=8, budget=10)
+        vc_by_enumeration(arch, max_z=8)  # sum of C(32, z <= 8) ~ 1.5e7 sample sets
 
 
 def test_architecture_validation():
