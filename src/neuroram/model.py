@@ -13,7 +13,8 @@ Structural rules (checked by :func:`validate`):
 * every neuron is excitatory (outgoing weights >= 0) or inhibitory
   (outgoing weights <= 0); inputs and outputs are excitatory,
 * biases are non-negative integers,
-* at most one synapse per ordered pair, and no zero-weight synapses.
+* at most one synapse per ordered pair, no zero-weight synapses, and no
+  repeated neuron name: the names are the network's role map.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidParameterError
 
@@ -69,22 +70,21 @@ class Network:
     """Immutable network; safe to share across threads and cache.
 
     ``incoming[v]`` lists ``(pre, weight)`` pairs, which is the access
-    pattern of the dynamics.  ``manifest`` maps role names to neuron ids
-    when the network came from a builder.  The private ``_operator`` slot
-    memoizes the trial engine's weight operator for the last fold set it
-    ran, filled on first use; it is derived from the fields above and is
-    excluded from equality, ``repr`` and JSON.
+    pattern of the dynamics.  Neuron names are the role names (``clk[3]``,
+    ``trig[1]``, ...); :func:`validate` flags a repeated one.  The private
+    ``_operator`` slot memoizes the trial engine's weight operator for the
+    last fold set it ran, filled on first use; it is derived from the fields
+    above and is excluded from equality, ``repr`` and JSON.
     """
 
-    __slots__ = ("lam", "neurons", "synapses", "manifest", "incoming",
-                 "input_ids", "output_ids", "_operator")
+    __slots__ = ("lam", "neurons", "synapses", "incoming", "input_ids",
+                 "output_ids", "_operator")
 
     def __init__(
         self,
         lam: Fraction,
         neurons: Iterable[Neuron],
         synapses: Iterable[Synapse],
-        manifest: Mapping[str, int] | None = None,
     ):
         lam = Fraction(lam)
         if lam <= 0:
@@ -94,7 +94,6 @@ class Network:
         if [u.id for u in self.neurons] != list(range(len(self.neurons))):
             raise InvalidParameterError("neuron ids must be dense 0..N-1 in order")
         self.synapses = tuple(synapses)
-        self.manifest = dict(manifest) if manifest is not None else None
 
         incoming: list[list[tuple[int, int]]] = [[] for _ in self.neurons]
         for s in self.synapses:
@@ -120,7 +119,6 @@ class Network:
             and self.neurons == other.neurons
             and sorted(self.synapses, key=lambda s: (s.pre, s.post)) ==
                 sorted(other.synapses, key=lambda s: (s.pre, s.post))
-            and self.manifest == other.manifest
         )
 
     def __repr__(self) -> str:
@@ -151,18 +149,18 @@ class NetworkBuilder:
         self._pairs.add((pre, post))
         self._synapses.append(Synapse(pre, post, weight))
 
-    def build(self, manifest: Mapping[str, int] | None = None) -> Network:
-        if manifest is None:
-            manifest = {u.name: u.id for u in self._neurons}
-        return Network(self.lam, self._neurons, self._synapses, manifest)
+    def build(self) -> Network:
+        return Network(self.lam, self._neurons, self._synapses)
 
 
 def validate(net: Network) -> list[Violation]:
     """Check every structural invariant; an empty list means the network is well formed."""
     out: list[Violation] = []
-    polarity = {u.id: u.polarity for u in net.neurons}
-
+    names: set[str] = set()
     for u in net.neurons:
+        if u.name in names:
+            out.append(Violation("duplicate-name", u.name, "neuron names must be unique"))
+        names.add(u.name)
         if u.bias < 0:
             out.append(Violation("bias-sign", u.name, f"bias {u.bias} < 0"))
         if u.kind in (Kind.INPUT, Kind.OUTPUT) and u.polarity is not Polarity.EXCITATORY:
@@ -179,10 +177,10 @@ def validate(net: Network) -> list[Violation]:
         if post.kind is Kind.INPUT:
             out.append(Violation("input-in-degree", f"{pre.name}->{post.name}",
                                  "input neurons take no incoming synapses"))
-        if polarity[s.pre] is Polarity.EXCITATORY and s.weight < 0:
+        if pre.polarity is Polarity.EXCITATORY and s.weight < 0:
             out.append(Violation("polarity-sign", f"{pre.name}->{post.name}",
                                  f"excitatory source with weight {s.weight}"))
-        if polarity[s.pre] is Polarity.INHIBITORY and s.weight > 0:
+        if pre.polarity is Polarity.INHIBITORY and s.weight > 0:
             out.append(Violation("polarity-sign", f"{pre.name}->{post.name}",
                                  f"inhibitory source with weight {s.weight}"))
         key = (s.pre, s.post)
@@ -190,11 +188,4 @@ def validate(net: Network) -> list[Violation]:
             out.append(Violation("duplicate-synapse", f"{pre.name}->{post.name}",
                                  "more than one synapse for an ordered pair"))
         seen[key] = s.weight
-
-    if net.manifest is not None:
-        covered = set(net.manifest.values())
-        for u in net.neurons:
-            if u.id not in covered:
-                out.append(Violation("manifest-coverage", u.name,
-                                     "neuron missing from manifest"))
     return out

@@ -52,13 +52,15 @@ import numpy as np
 
 from .bits import binary, dec
 from .dynamics import default_lambda
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
 from .montecarlo import final_bit_counts, trial_states
 
 CLOCK_OK = "ok"
 CLOCK_NEVER_STARTED = "never-started"
 CLOCK_MISMATCH = "mismatch"
+
+MAX_UNIT_BITS = 1 << 15  # indexing units x data bits per network; 0.7 GB peak to build and save
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,13 @@ def dimension(n: int) -> int:
     if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
         raise InvalidParameterError(f"n must be a power of 4 and >= 4, got {n}")
     return 1 << ((n.bit_length() - 1) // 2)
+
+
+def check_size(units: int, n: int) -> None:
+    """Refuse ``units`` indexing units over n data bits past :data:`MAX_UNIT_BITS`."""
+    if units * n > MAX_UNIT_BITS:
+        raise ResourceBudgetError(
+            f"indexing units x data bits = {units} x {n} exceeds the budget of {MAX_UNIT_BITS}")
 
 
 def address_of(y: tuple[int, ...]) -> int:
@@ -295,6 +304,7 @@ def build_neuro_ram(
 ) -> tuple[Network, NeuroRamLayout]:
     """Standalone indexing network with its own input neurons."""
     dimension(n)
+    check_size(1, n)
     if lam is None:
         lam = default_lambda(n)
     b = NetworkBuilder(Fraction(lam))

@@ -105,7 +105,6 @@ def network_to_json(net: Network) -> dict:
             {"pre": s.pre, "post": s.post, "weight": str(s.weight)}
             for s in net.synapses
         ],
-        "manifest": net.manifest,
     }
 
 
@@ -146,12 +145,8 @@ def network_from_json(doc: Any) -> Network:
                 weight=_parse_int(_require(item, "weight", path), f"{path}.weight"),
             )
         )
-    manifest = doc.get("manifest")
-    if manifest is not None:
-        manifest = {str(k): _parse_int(v, f"manifest[{k!r}]")
-                    for k, v in _object(manifest, "manifest").items()}
     try:
-        return Network(lam, neurons, synapses, manifest)
+        return Network(lam, neurons, synapses)
     except ValueError as exc:
         raise SchemaError(f"root: {exc}") from None
 
@@ -173,27 +168,16 @@ def feedforward_to_json(ff: FeedforwardNetwork) -> dict:
 def feedforward_from_json(doc: Any) -> FeedforwardNetwork:
     net = network_from_json(doc)
     raw = _object(_require(doc, "feedforward", "root"), "feedforward")
-    if len(net.output_ids) != 1:
-        raise SchemaError(f"feedforward: expected a network with exactly one output, "
-                          f"got {len(net.output_ids)}")
     layers = tuple(
         tuple(_parse_int(v, f"feedforward.layers[{i}]")
               for v in _list(layer, f"feedforward.layers[{i}]"))
         for i, layer in enumerate(_list(_require(raw, "layers", "feedforward"),
                                         "feedforward.layers"))
     )
-    aux = [u.id for u in net.neurons if u.kind is Kind.AUXILIARY]
-    if sorted(v for layer in layers for v in layer) != aux or len(set(map(len, layers))) > 1:
-        raise SchemaError("feedforward.layers: expected every auxiliary neuron exactly once, "
-                          "in layers of equal width")
-    # circuits read only these edges, so any other would silently drop out
-    depth = {nid: k for k, layer in enumerate(layers + (net.output_ids,), 1) for nid in layer}
-    depth.update((nid, 0) for nid in net.input_ids)
-    for i, s in enumerate(net.synapses):
-        if not depth.get(s.post) or depth[s.pre] not in (0, depth[s.post] - 1):
-            raise SchemaError(f"synapses[{i}]: expected an edge from an input or the "
-                              f"previous layer into a gate, got {s.pre} -> {s.post}")
-    return FeedforwardNetwork(net=net, layers=layers)
+    try:
+        return FeedforwardNetwork(net=net, layers=layers)
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def save_feedforward(ff: FeedforwardNetwork, path: str | Path) -> None:

@@ -34,7 +34,7 @@ from .dynamics import default_lambda
 from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
 from .montecarlo import final_bit_counts
-from .ramnet import NeuroRamLayout, dimension, graft_indexing_unit
+from .ramnet import NeuroRamLayout, check_size, dimension, graft_indexing_unit
 
 LOCK_OK = "ok"
 LOCK_INACTIVE = "lock-inactive"
@@ -99,6 +99,7 @@ def build_similarity(
     if lam is None:
         lam = default_lambda(n)
     k_probes = sample_count(n, eps, c)
+    check_size(2 * k_probes, n)
     log_n = n.bit_length() - 1
 
     b = NetworkBuilder(Fraction(lam))
@@ -163,16 +164,14 @@ def _add_comparator(
     return f_any, f_both
 
 
-def build_comparator_gadget(lam: Fraction = Fraction(1, 32)) -> tuple[Network, dict[str, int]]:
-    """Just the pair comparator, with inputs standing in for the pair outputs."""
+def build_comparator_gadget(lam: Fraction = Fraction(1, 32)) -> Network:
+    """Just the pair comparator, its inputs ``o1``, ``o2`` standing in for the pair outputs."""
     b = NetworkBuilder(Fraction(lam))
     o1 = b.add_neuron("o1", Kind.INPUT, Polarity.EXCITATORY, 0)
     o2 = b.add_neuron("o2", Kind.INPUT, Polarity.EXCITATORY, 0)
-    f_any, f_both = _add_comparator(b, (o1, o2), o2 + 3, "")  # out comes right after
-    out = b.add_neuron("out", Kind.OUTPUT, Polarity.EXCITATORY, 1)
-    net = b.build()
-    ids = {"o1": o1, "o2": o2, "cmp_any": f_any, "cmp_both": f_both, "out": out}
-    return net, ids
+    _add_comparator(b, (o1, o2), o2 + 3, "")  # out comes right after
+    b.add_neuron("out", Kind.OUTPUT, Polarity.EXCITATORY, 1)
+    return b.build()
 
 
 def clamps_for(layout: SimilarityLayout, x1: tuple[int, ...], x2: tuple[int, ...]) -> dict[int, int]:
@@ -232,6 +231,8 @@ def sampling_miss_count(
     """
     if not diff_positions:
         raise InvalidParameterError("need at least one differing position")
+    if bad := [p for p in diff_positions if not 0 <= p < n]:
+        raise InvalidParameterError(f"differing position {bad[0]} outside [0, {n})")
     gen = np.random.default_rng([seed, 0x53414D50])
     diff = np.zeros(n, dtype=bool)
     diff[list(diff_positions)] = True

@@ -37,11 +37,30 @@ from .montecarlo import BATCH, trial_states
 @dataclass(frozen=True)
 class FeedforwardNetwork:
     """Layered acyclic network produced by unrolling: ``net`` plus its
-    auxiliary neurons grouped in layers; the inputs and the single output
-    are the net's, and the output gate reads the last layer."""
+    auxiliary neurons in layers, the net's single output after the last;
+    every synapse runs from an input or the previous layer into a gate."""
 
     net: Network
     layers: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.net.output_ids) != 1:
+            raise InvalidParameterError(f"feedforward: expected a network with exactly one "
+                                        f"output, got {len(self.net.output_ids)}")
+        aux = [u.id for u in self.net.neurons if u.kind is Kind.AUXILIARY]
+        if (sorted(v for layer in self.layers for v in layer) != aux
+                or len(set(map(len, self.layers))) > 1):
+            raise InvalidParameterError("feedforward.layers: expected every auxiliary neuron "
+                                        "exactly once, in layers of equal width")
+        # circuits read only these edges, so any other would silently drop out
+        depth = {nid: k for k, layer in enumerate((*self.layers, self.net.output_ids), 1)
+                 for nid in layer}
+        depth.update((nid, 0) for nid in self.net.input_ids)
+        for i, s in enumerate(self.net.synapses):
+            if not depth.get(s.post) or depth[s.pre] not in (0, depth[s.post] - 1):
+                raise InvalidParameterError(
+                    f"synapses[{i}]: expected an edge from an input or the previous layer "
+                    f"into a gate, got {s.pre} -> {s.post}")
 
     @property
     def inputs(self) -> tuple[int, ...]:
@@ -105,13 +124,8 @@ def unroll(net: Network, t: int) -> FeedforwardNetwork:
     body = [u.id for u in net.neurons if u.kind is not Kind.INPUT]
 
     b = NetworkBuilder(net.lam)
-    new_inputs = tuple(
-        b.add_neuron(u.name, Kind.INPUT, Polarity.EXCITATORY, u.bias)
-        for u in net.neurons
-        if u.kind is Kind.INPUT
-    )
-    input_map = {old: new for old, new in zip(
-        (u.id for u in net.neurons if u.kind is Kind.INPUT), new_inputs)}
+    input_map = {u.id: b.add_neuron(u.name, Kind.INPUT, Polarity.EXCITATORY, u.bias)
+                 for u in net.neurons if u.kind is Kind.INPUT}
 
     layers: list[tuple[int, ...]] = []
     copy_of: dict[int, int] = {}
@@ -162,8 +176,7 @@ def _layer_matrices(ff: FeedforwardNetwork):
             if abs(u.bias) + sum(abs(v) for _, v in ff.net.incoming[nid]) >= 1 << 53:
                 raise InvalidParameterError(f"gate {u.name!r} (id {nid}): |bias| + sum|w| >= 2**53")
             for pre, v in ff.net.incoming[nid]:
-                if pre in row:
-                    w[row[pre], k] += v
+                w[row[pre], k] += v
         blocks.append((w, np.array([ff.net.neurons[nid].bias for nid in layer], dtype=np.float64)))
         prev = layer
     return blocks

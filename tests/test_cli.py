@@ -10,9 +10,11 @@ import pytest
 from neuroram import experiments
 from neuroram.cli import build_parser, main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
-from neuroram.model import Kind, NetworkBuilder, Polarity
-from neuroram.ramnet import IndexInstance, build_neuro_ram, index_hits
-from neuroram.serialize import load_circuit, load_feedforward, load_network, save_network
+from neuroram.model import Kind, NetworkBuilder, Polarity, validate
+from neuroram.ramnet import MAX_UNIT_BITS, IndexInstance, build_neuro_ram, index_hits
+from neuroram.serialize import (
+    load_circuit, load_feedforward, load_network, network_from_json, save_network,
+)
 from neuroram.randomnets import random_network
 from neuroram.similarity import MAX_PROBES
 from neuroram.transforms import _offsets, circuit_states, eval_threshold_circuit
@@ -381,6 +383,22 @@ def test_similarity_refuses_probe_counts_past_the_budget(tmp_path, monkeypatch, 
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["build-neuroram", "--n", "1048576", "--out", "never.json"],
+    ["build-similarity", "--n", "16384", "--eps", "1", "--c", "1", "--out", "never.json"],
+    ["build-similarity", "--n", "4096", "--eps", "0.25", "--out", "never.json"],
+    ["experiment", "--kind", "clock", "--n", "1048576"],
+], ids=["neuroram", "similarity-k10", "similarity-k67", "experiment-clock"])
+def test_builders_refuse_networks_past_the_size_budget(tmp_path, monkeypatch, capsys, command):
+    # each would need several GB; the budget refuses it before any neuron is added
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(command) == 2
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the budget of {MAX_UNIT_BITS}" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
 def test_vc_bounds_refuses_huge_class_size(capsys):
     # 2^4000000000 would take gigabytes to materialize; it is refused at parse time.
     start = time.perf_counter()
@@ -404,6 +422,14 @@ def test_readme_command_examples_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_network_example_loads():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## File formats", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    net = network_from_json(json.loads(block))
+    assert [u.name for u in net.neurons] == ["data[0]", "out"]
+    assert validate(net) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -61,10 +61,11 @@ def test_zero_weight_and_duplicates_flagged():
     assert "duplicate-synapse" in [v.rule for v in validate(net)]
 
 
-def test_manifest_must_cover_all_neurons():
+def test_repeated_name_flagged():
     b = tiny_builder()
-    net = b.build(manifest={"in0": 0, "out": 2})
-    assert [v.rule for v in validate(net)] == ["manifest-coverage"]
+    b.add_neuron("mid", Kind.AUXILIARY, Polarity.EXCITATORY, 1)
+    violations = validate(b.build())
+    assert [(v.rule, v.subject) for v in violations] == [("duplicate-name", "mid")]
 
 
 def test_builder_rejects_duplicate_pair_and_drops_zero():

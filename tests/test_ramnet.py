@@ -75,20 +75,18 @@ def test_builder_output_validates_clean(ram4, ram16):
     assert check_weight_fact(net64, layout64)
 
 
-def test_manifest_covers_network_and_counts_auxiliaries(ram16):
+def test_names_are_unique_and_auxiliaries_counted(ram16):
     net, layout = ram16
-    assert net.manifest is not None
-    assert sorted(net.manifest.values()) == list(range(len(net)))
+    assert len({u.name for u in net.neurons}) == len(net)
     actual_aux = sum(1 for u in net.neurons if u.kind is Kind.AUXILIARY)
     assert actual_aux == layout.aux_count == 17 * 4 + 2 * 4 + 1
 
 
-def test_manifest_is_the_builder_names_in_id_order():
+def test_neuron_names_are_the_role_map():
     for reset in (False, True):
         net, layout = build_neuro_ram(16, with_reset=reset, lam=LAM)
-        assert net.manifest == {u.name: u.id for u in net.neurons}
-        assert list(net.manifest.values()) == list(range(len(net)))
-        roles = net.manifest
+        roles = {u.name: u.id for u in net.neurons}
+        assert len(roles) == len(net)
         assert roles["clk[3]"] == layout.clock[3]
         assert roles["stop[1]"] == layout.stop[0]
         assert roles["trig[1]"] == layout.trigger[1]
@@ -133,7 +131,7 @@ def test_weight_fact_detects_inflated_feedback(ram4):
         else s
         for s in net.synapses
     ]
-    assert check_weight_fact(Network(net.lam, net.neurons, doubled, net.manifest), layout)
+    assert check_weight_fact(Network(net.lam, net.neurons, doubled), layout)
     quadrupled = [
         Synapse(s.pre, s.post, s.weight * 4)
         if s.pre in layout.read_excite and s.post in layout.enc
@@ -141,7 +139,7 @@ def test_weight_fact_detects_inflated_feedback(ram4):
         for s in net.synapses
     ]
     assert not check_weight_fact(
-        Network(net.lam, net.neurons, quadrupled, net.manifest), layout
+        Network(net.lam, net.neurons, quadrupled), layout
     )
 
 
@@ -295,7 +293,7 @@ def test_clock_never_started_on_zero_input(ram4):
 def test_clock_mismatch_detected_when_chain_is_cut(ram4):
     net, layout = ram4
     cut = [s for s in net.synapses if not (s.pre == layout.clock[2] and s.post == layout.clock[3])]
-    broken = Network(net.lam, net.neurons, cut, net.manifest)
+    broken = Network(net.lam, net.neurons, cut)
     clamps = clamps_for(layout, IndexInstance((1, 1, 0, 0), (0, 0)))
     assert exact_clock_status(broken, layout, clamps, seed=0) == CLOCK_MISMATCH
 
@@ -313,7 +311,7 @@ def test_clock_pattern_status_on_trial_engine_rows(ram4, ram16):
 def test_clock_pattern_status_flags_a_cut_chain_in_trial_rows(ram4):
     net, layout = ram4
     cut = [s for s in net.synapses if not (s.pre == layout.clock[2] and s.post == layout.clock[3])]
-    broken = Network(net.lam, net.neurons, cut, net.manifest)
+    broken = Network(net.lam, net.neurons, cut)
     clamps = clamps_for(layout, IndexInstance((1, 1, 0, 0), (0, 0)))
     states = trial_states(broken, [(clamps, layout.rounds + 1)], 20, seed=0,
                           record=list(layout.clock))

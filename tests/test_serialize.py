@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from neuroram.errors import SchemaError
-from neuroram.model import Kind, NetworkBuilder, Polarity
+from neuroram.model import Kind, NetworkBuilder, Polarity, validate
 from neuroram.ramnet import build_neuro_ram
 from neuroram.randomnets import random_network
 from neuroram.serialize import (
@@ -14,6 +14,7 @@ from neuroram.serialize import (
     architecture_from_json, load_circuit, load_network, load_samples, network_from_json,
     network_to_json, save_network,
 )
+from neuroram.similarity import build_comparator_gadget, build_similarity
 from neuroram.transforms import (
     eval_threshold_circuit, sample_threshold_circuit, unroll,
 )
@@ -28,6 +29,23 @@ def test_roundtrip_indexing_network(tmp_path):
     assert sorted((s.pre, s.post, s.weight) for s in loaded.synapses) == sorted(
         (s.pre, s.post, s.weight) for s in net.synapses
     )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_neuro_ram(16)[0],
+    lambda: build_neuro_ram(16, with_reset=True)[0],
+    lambda: build_similarity(16, 0.25, 2)[0],
+    build_comparator_gadget,
+    lambda: random_network(7, 2, 2),
+    lambda: unroll(random_network(7, 2, 2), 3).net,
+], ids=["ram", "ram-reset", "similarity", "comparator", "random", "unrolled"])
+def test_builders_validate_and_older_manifest_key_is_ignored(build):
+    net = build()
+    assert validate(net) == []
+    doc = network_to_json(net)
+    assert "manifest" not in doc
+    doc["manifest"] = {u.name: u.id for u in net.neurons}  # as older files wrote it
+    assert network_from_json(json.loads(json.dumps(doc))) == net
 
 
 def test_big_integer_weights_survive(tmp_path):

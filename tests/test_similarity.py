@@ -62,14 +62,13 @@ def test_build_validates_and_counts_pairs(sim16):
     assert layout.k == 23
     assert len(layout.units_a) == len(layout.units_b) == 23
     assert len(layout.index) == 23
-    assert sorted(net.manifest.values()) == list(range(len(net)))
+    assert len({u.name for u in net.neurons}) == len(net)
 
 
-def test_manifest_is_the_builder_names_in_id_order(sim4):
+def test_neuron_names_are_the_role_map(sim4):
     net, layout = sim4
-    assert net.manifest == {u.name: u.id for u in net.neurons}
-    assert list(net.manifest.values()) == list(range(len(net)))
-    roles = net.manifest
+    roles = {u.name: u.id for u in net.neurons}
+    assert len(roles) == len(net)
     unit = layout.units_a[0]
     assert roles["a0.trig[1]"] == unit.trigger[1]
     assert roles["a0.clk[3]"] == unit.clock[3]
@@ -109,7 +108,8 @@ def test_pairs_share_index_neurons(sim16):
 # --- comparator ------------------------------------------------------------
 
 def test_comparator_truth_table():
-    net, ids = build_comparator_gadget(LAM)
+    net = build_comparator_gadget(LAM)
+    ids = {u.name: u.id for u in net.neurons}
     for o1, o2 in product((0, 1), repeat=2):
         rows = run(net, {ids["o1"]: o1, ids["o2"]: o2}, 2, seed=5)
         assert rows[1, ids["cmp_any"]] == (o1 | o2)
@@ -207,7 +207,7 @@ def test_lock_holds_over_seeds(sim4):
 def test_removing_lock_edges_unlocks(sim4):
     net, layout = sim4
     stripped = [s for s in net.synapses if s.pre != layout.lock]
-    loose = Network(net.lam, net.neurons, stripped, net.manifest)
+    loose = Network(net.lam, net.neurons, stripped)
     states = lock_rows(loose, layout, (1, 0, 1, 0), (1, 1, 0, 0), 30, seed=0)
     unstable = sum(locked_index_check(rows, layout) == LOCK_UNSTABLE for rows in states)
     assert unstable >= 25
@@ -286,3 +286,10 @@ def test_sampling_miss_rate_within_three_times_bound():
 def test_sampling_miss_requires_difference():
     with pytest.raises(InvalidParameterError):
         sampling_miss_count(16, 5, (), 100, seed=0)
+
+
+@pytest.mark.parametrize("position", [-1, 16])
+def test_sampling_miss_rejects_positions_outside_the_pattern(position):
+    # numpy would wrap -1 to the last position and raise IndexError on 16
+    with pytest.raises(InvalidParameterError, match=rf"position {position} outside \[0, 16\)"):
+        sampling_miss_count(16, 5, (3, position), 100, seed=0)

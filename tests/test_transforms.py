@@ -12,8 +12,8 @@ from neuroram.montecarlo import BATCH, trial_states
 from neuroram.ramnet import IndexInstance, build_neuro_ram, clamps_for
 from neuroram.randomnets import random_network
 from neuroram.transforms import (
-    ThresholdCircuit, _gate_ids, _offsets, circuit_states, distribution_equivalence,
-    eval_threshold_circuit, sample_threshold_circuit, unroll,
+    FeedforwardNetwork, ThresholdCircuit, _gate_ids, _offsets, circuit_states,
+    distribution_equivalence, eval_threshold_circuit, sample_threshold_circuit, unroll,
 )
 
 
@@ -297,3 +297,31 @@ def test_equivalence_on_indexing_network():
         net, clamps_for(layout, inst), t=layout.rounds, trials=20_000, seed=3
     )
     assert rep.delta <= 0.01
+
+
+def skip_edge_net():
+    """x -> g -> h -> out, plus a skip edge g -> out (synapses[3])."""
+    b = NetworkBuilder(Fraction(1, 64))
+    x = b.add_neuron("x", Kind.INPUT, Polarity.EXCITATORY, 0)
+    g = b.add_neuron("g", Kind.AUXILIARY, Polarity.EXCITATORY, 0)
+    h = b.add_neuron("h", Kind.AUXILIARY, Polarity.EXCITATORY, 5)
+    out = b.add_neuron("out", Kind.OUTPUT, Polarity.EXCITATORY, 1)
+    for pre, post, w in ((x, g, 1), (g, h, 1), (h, out, 1), (g, out, 4)):
+        b.add_synapse(pre, post, w)
+    return b.build(), ((g,), (h,))
+
+
+def test_feedforward_checks_its_own_layering():
+    # circuits read only layered edges: they would drop the skip edge and
+    # read P[out] = 0.0 where trial_states reads 1.0
+    net, layers = skip_edge_net()
+    with pytest.raises(InvalidParameterError, match=r"synapses\[3\]: expected an edge"):
+        FeedforwardNetwork(net, layers)
+    with pytest.raises(InvalidParameterError, match="feedforward.layers: "):
+        FeedforwardNetwork(net, layers[:1])
+    b = NetworkBuilder(Fraction(1, 4))
+    b.add_neuron("z1", Kind.OUTPUT, Polarity.EXCITATORY, 0)
+    b.add_neuron("z2", Kind.OUTPUT, Polarity.EXCITATORY, 0)
+    with pytest.raises(InvalidParameterError, match="feedforward: expected a network with "
+                                                    "exactly one output, got 2"):
+        FeedforwardNetwork(b.build(), ())
