@@ -19,8 +19,8 @@ from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .model import validate
 from .ramnet import IndexInstance, build_neuro_ram, index_hits
 from .serialize import (
-    load_architecture, load_feedforward, load_network, load_samples, save_circuit,
-    save_feedforward, save_network,
+    load_architecture, load_feedforward, load_network, load_samples, parse_rational,
+    save_circuit, save_feedforward, save_network,
 )
 from .similarity import build_similarity, similarity_positive_count
 from .transforms import distribution_equivalence, sample_threshold_circuit, unroll
@@ -29,12 +29,9 @@ from .vclab import circuit_vc_upper, count_dichotomies, sauer_lower
 
 def _rational(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
+        return parse_rational(text)
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 MAX_SIZE_BITS = 1 << 20  # largest "b^k" class size built; the Sauer bound needs only log2

@@ -14,10 +14,11 @@ and with lambda = 1/(c*log2(n)) a unit margin |pot| >= 1 drives the firing
 probability within n**(-c*log2(e)) of 0 or 1 — the "with high probability"
 regime the network constructions are designed around.
 
-Clamped inputs copy their clamp bit each round.  Unclamped neurons,
-including unclamped inputs, fire by the stochastic rule (an isolated
-bias-0 neuron is a fair coin; the similarity network uses exactly this as
-its randomness source).
+The input neurons carry the instance: every window of a schedule clamps
+every input, and only the inputs, to a bit 0 or 1, and an input copies its
+clamp bit each round.  Every other neuron fires by the stochastic rule (an
+isolated bias-0 neuron is a fair coin; the similarity network uses exactly
+this as its randomness source).
 """
 
 from __future__ import annotations
@@ -73,22 +74,26 @@ def firing_probability(pot: int, lam: Fraction) -> float:
 
 
 def _check_clamps(net: Network, clamps: ClampSpec) -> None:
-    """Clamp ids must be input ids and bits 0 or 1; the loop only names the offender."""
+    """The clamps must give every input, and only inputs, a bit 0 or 1; the
+    checks after the fast path only name the offender."""
     inputs = set(net.input_ids)
     try:
-        if set(map(operator.index, clamps)) <= inputs and set(clamps.values()) <= {0, 1}:
+        if set(map(operator.index, clamps)) == inputs and set(clamps.values()) <= {0, 1}:
             return
     except TypeError:  # a non-integer id or an unhashable bit
         pass
     for u, bit in clamps.items():
         if not (isinstance(u, numbers.Integral) and u in inputs):
-            raise InvalidParameterError(f"only input neurons may be clamped, got {u!r}")
+            raise InvalidParameterError(
+                f"clamps must cover exactly the inputs; a non-input was clamped, got {u!r}")
         if bit not in (0, 1):
             raise InvalidParameterError(f"clamp bit for {u} must be 0 or 1, got {bit!r}")
+    missing = min(inputs - set(clamps))
+    raise InvalidParameterError(f"clamps must cover exactly the inputs; input {missing} has no bit")
 
 
 def initial_state(net: Network, clamps: ClampSpec) -> np.ndarray:
-    """Row 0: non-input neurons silent, clamped inputs at their bits."""
+    """Row 0: non-input neurons silent, inputs at their clamp bits."""
     _check_clamps(net, clamps)
     bits = np.zeros(len(net), dtype=bool)
     for u, bit in clamps.items():
@@ -103,20 +108,12 @@ def step(net: Network, prev: Sequence, t: int, clamps: ClampSpec, seed: int) -> 
     result depends only on the previous bits, never on how they were
     reached, and repeated calls are bit-identical.
     """
-    _check_clamps(net, clamps)
-    bits = np.zeros(len(net), dtype=bool)
+    bits = initial_state(net, clamps)
     for u in net.neurons:
-        uid = u.id
-        if u.kind is Kind.INPUT:
-            if uid in clamps:
-                bits[uid] = clamps[uid]
-                continue
-            pot = -u.bias  # an unclamped input has no synaptic drive
-        else:
-            pot = potential(net, prev, uid)
-        p = firing_probability(pot, net.lam)
-        if p > 0.0 and rng.unit(seed, t, uid) < p:
-            bits[uid] = True
+        if u.kind is not Kind.INPUT:
+            p = firing_probability(potential(net, prev, u.id), net.lam)
+            if p > 0.0 and rng.unit(seed, t, u.id) < p:
+                bits[u.id] = True
     return bits
 
 

@@ -72,9 +72,9 @@ class Network:
     ``incoming[v]`` lists ``(pre, weight)`` pairs, which is the access
     pattern of the dynamics.  Neuron names are the role names (``clk[3]``,
     ``trig[1]``, ...); :func:`validate` flags a repeated one.  The private
-    ``_operator`` slot memoizes the trial engine's weight operator for the
-    last fold set it ran, filled on first use; it is derived from the fields
-    above and is excluded from equality, ``repr`` and JSON.
+    ``_operator`` slot memoizes the trial engine's weight operator, filled
+    on first use; it is derived from the fields above and is excluded from
+    equality, ``repr`` and JSON.
     """
 
     __slots__ = ("lam", "neurons", "synapses", "incoming", "input_ids",

@@ -6,15 +6,13 @@ simulates batches of trials as dense state matrices against a sparse weight
 matrix, with the exact engine's firing law; only the randomness stream
 differs (seeded numpy Philox here, counter-based hashes there).
 
-Inputs clamped in every schedule window are never simulated: their
-synaptic drive, minus the bias, is one constant vector per window, and
-round t adds the vector of round t-1's window, because round t's potential
-sees round t-1's state.  Every other neuron is simulated, and uniforms are
-drawn only for those, one (trials, simulated neurons) block per round.  An
-input clamped in some windows only is simulated and overwritten by its
-clamp bit in the rounds where it is clamped.  The weight operator this
-needs is built once per network and fold set (the inputs clamped in every
-window), on first use, and kept on the network.
+Every schedule window clamps every input, so inputs are never simulated:
+their synaptic drive, minus the bias, is one constant vector per window,
+and round t adds the vector of round t-1's window, because round t's
+potential sees round t-1's state.  Every other neuron is simulated, and
+uniforms are drawn only for those, one (trials, simulated neurons) block
+per round.  The weight operator this needs is built once per network, on
+first use, and kept on the network.
 
 Potentials stay exact integers in float64.  A neuron whose |bias| + sum|w|
 is below 2**52 sums its weights in one column; a wider one (the encoders
@@ -34,12 +32,16 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import SATURATION, ClampSpec, check_count, check_schedule
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Network
 
 # Trials per RNG batch. Part of the reproducibility contract: changing it
 # changes streams, so it is a constant, not a parameter.
 BATCH = 512
+
+# Recorded bits, trials x rounds x recorded neurons, one call may return: a
+# 256 MiB bool array, 97x the largest call in the tests (10,000 x 3 x 92).
+MAX_RECORDED_BITS = 1 << 28
 
 # Per-neuron |bias| + sum|w| from which float64 potentials could round.
 WIDE = 1 << 52
@@ -94,27 +96,25 @@ def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.
     return w, np.concatenate([narrow_bias, _digits(bias[wide], count).ravel()]), wide
 
 
-def _operator(net: Network, fixed: tuple[int, ...]) -> tuple:
-    """(w_free, w_fixed, bias, wide, pos) for the fold set ``fixed``: the
-    transposed weights from the free and the fixed rows, the bias and wide
-    columns of :func:`_coefficients`, and the state row of each neuron.
+def _operator(net: Network) -> tuple:
+    """(w_free, w_fixed, bias, wide, pos): the transposed weights from the
+    non-input and the input rows, the bias and wide columns of
+    :func:`_coefficients` over the non-inputs, and the state row of each
+    neuron.
 
-    The last one built is kept in ``net._operator`` with its fold set, so
-    repeated calls with the same fold set build it once; its arrays are
+    It is built once and kept in ``net._operator``; its arrays are
     read-only, as every call shares them.
     """
-    memo = net._operator
-    if memo is not None and memo[0] == fixed:
-        return memo[1]
-    free = sorted(set(range(len(net))) - set(fixed))
-    w, bias, wide = _coefficients(net, free)
-    w_free, w_fixed = w[free].T.tocsr(), w[list(fixed)].T.tocsr()
-    pos = np.argsort(free + list(fixed))
-    for a in (w_free.data, w_fixed.data, bias, wide, pos):
-        a.setflags(write=False)
-    operator = (w_free, w_fixed, bias, wide, pos)
-    net._operator = (fixed, operator)
-    return operator
+    if net._operator is None:
+        inputs = list(net.input_ids)
+        free = sorted(set(range(len(net))) - set(inputs))
+        w, bias, wide = _coefficients(net, free)
+        w_free, w_fixed = w[free].T.tocsr(), w[inputs].T.tocsr()
+        pos = np.argsort(free + inputs)
+        for a in (w_free.data, w_fixed.data, bias, wide, pos):
+            a.setflags(write=False)
+        net._operator = (w_free, w_fixed, bias, wide, pos)
+    return net._operator
 
 
 def trial_states(
@@ -129,29 +129,28 @@ def trial_states(
     ``schedule`` is a list of (clamps, duration) windows as in
     :func:`neuroram.dynamics.run_schedule`; a fixed clamp for T+1 rounds is
     ``[(clamps, T + 1)]``.  ``record`` lists the neuron ids, each in [0, N),
-    whose bits are returned.
+    whose bits are returned.  A result of more than :data:`MAX_RECORDED_BITS`
+    bits raises :class:`ResourceBudgetError` before anything is simulated.
     """
     check_count("trials", trials, 1)
     check_schedule(net, schedule, seed)
     n = len(net)
     if any(not 0 <= u < n for u in record):
         raise InvalidParameterError(f"record ids must lie in [0, {n}), got {list(record)}")
+    rounds = sum(duration for _, duration in schedule) - 1
+    if trials * (rounds + 1) * len(record) > MAX_RECORDED_BITS:
+        raise ResourceBudgetError(
+            f"recorded bits trials x rounds x neurons = {trials} x {rounds + 1} x {len(record)} "
+            f"exceeds the budget of {MAX_RECORDED_BITS}")
 
-    # Inputs clamped in every window are "fixed", the rest "free".  The state
-    # has one bool row per neuron, free rows first, and one column per trial.
-    # Per round: (fixed drive - bias, fixed bits, free rows clamped now, bits).
-    folded = set.intersection(*(set(clamps) for clamps, _ in schedule))
-    fixed = tuple(sorted(folded))
-    nf = n - len(fixed)
-    w_free, w_fixed, bias, wide, pos = _operator(net, fixed)
+    # The state has one bool row per neuron, non-inputs ("free") first, and
+    # one column per trial.  Per round: (input drive - bias, input bits).
+    nf = n - len(net.input_ids)
+    w_free, w_fixed, bias, wide, pos = _operator(net)
     per_round = []
     for clamps, duration in schedule:
-        fixed_bits = np.array([clamps[u] for u in fixed], dtype=np.float64)
-        others = [u for u in clamps if u not in folded]
-        window = ((w_fixed @ fixed_bits - bias)[:, None], (fixed_bits > 0.5)[:, None],
-                  pos[others], np.array([clamps[u] for u in others], dtype=bool)[:, None])
-        per_round.extend([window] * duration)
-    rounds = len(per_round) - 1
+        bits = np.array([clamps[u] for u in net.input_ids], dtype=np.float64)
+        per_round.extend([((w_fixed @ bits - bias)[:, None], (bits > 0.5)[:, None])] * duration)
     inv_lam = float(1 / net.lam)
     rec = pos[np.array(record, dtype=np.int64)]
 
@@ -180,9 +179,7 @@ def trial_states(
                 p = 1.0 / (1.0 + np.exp(np.clip(neg, -SATURATION, SATURATION, out=neg)))
                 p[silent] = 0.0
                 np.less(gen.random((b, nf)).T, p, out=fired[:nf])
-            _, fixed_on, idx, bits = per_round[t]
-            fired[nf:] = fixed_on
-            fired[idx] = bits
+            fired[nf:] = per_round[t][1]
             out[lo:hi, t, :] = fired[rec].T
     return out
 

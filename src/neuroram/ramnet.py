@@ -339,13 +339,10 @@ def check_weight_fact(net: Network, layout: NeuroRamLayout) -> bool:
 def expected_encoding_potential(bucket: tuple[int, ...]) -> int:
     """Potential a bucket pattern contributes to its encoder.
 
-    Equals twice the integer encoded by the reversed pattern; the identity
-    is checked on every call.
+    Equals twice the integer encoded by the reversed pattern.
     """
     s = len(bucket)
-    total = sum(bit << (s - j) for j, bit in enumerate(bucket))
-    assert total == 2 * dec(tuple(reversed(bucket)))
-    return total
+    return sum(bit << (s - j) for j, bit in enumerate(bucket))
 
 
 def clamps_for(layout: NeuroRamLayout, instance: IndexInstance) -> dict[int, int]:

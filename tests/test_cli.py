@@ -10,6 +10,7 @@ import pytest
 from neuroram import experiments
 from neuroram.cli import build_parser, main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
+from neuroram.montecarlo import MAX_RECORDED_BITS
 from neuroram.model import Kind, NetworkBuilder, Polarity, validate
 from neuroram.ramnet import MAX_UNIT_BITS, IndexInstance, build_neuro_ram, index_hits
 from neuroram.serialize import (
@@ -17,7 +18,7 @@ from neuroram.serialize import (
 )
 from neuroram.randomnets import random_network
 from neuroram.similarity import MAX_PROBES
-from neuroram.transforms import _offsets, circuit_states, eval_threshold_circuit
+from neuroram.transforms import MAX_UNROLL_SIZE, _offsets, circuit_states, eval_threshold_circuit
 
 
 def test_build_and_index_pipeline(tmp_path, capsys):
@@ -397,6 +398,43 @@ def test_builders_refuse_networks_past_the_size_budget(tmp_path, monkeypatch, ca
     assert time.perf_counter() - start < 1
     assert f"exceeds the budget of {MAX_UNIT_BITS}" in capsys.readouterr().err
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["unroll", "--net", "r16.json", "--t", "10000000", "--out", "never.json"],
+    ["equiv", "--net", "r16.json", "--inputs", "0" * 20, "--t", "10000000"],
+], ids=["unroll", "equiv"])
+def test_unroll_refuses_copies_past_the_size_budget(tmp_path, monkeypatch, capsys, command):
+    # 10**7 copies of the n = 16 unit would need terabytes; the budget
+    # refuses them before any neuron is added
+    monkeypatch.chdir(tmp_path)
+    save_network(build_neuro_ram(16)[0], "r16.json")
+    start = time.perf_counter()
+    assert main(command) == 2
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the budget of {MAX_UNROLL_SIZE}" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["index", "--n", "16", "--x", "1011001110001111", "--y", "0110"],
+    ["similarity", "--n", "16", "--eps", "0.25", "--x1", "1" * 16, "--x2", "0" * 16],
+], ids=["index", "similarity"])
+def test_trial_commands_refuse_records_past_the_budget(capsys, command):
+    # 10**9 trials would record about 20 GB of states; the budget refuses
+    # them before any trial runs
+    start = time.perf_counter()
+    assert main([*command, "--trials", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the budget of {MAX_RECORDED_BITS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["0", "1/0", "abc"])
+def test_index_rejects_bad_lambda(capsys, lam):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["index", "--n", "4", "--x", "1010", "--y", "10", "--lambda", lam])
+    assert exit_info.value.code == 2
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_vc_bounds_refuses_huge_class_size(capsys):

@@ -31,7 +31,7 @@ def test_agrees_with_exact_engine_on_rates():
 
 def test_batching_is_transparent():
     net = random_network(4, n_inputs=1, n_aux=4)
-    # the two-window schedule folds input 0, whose bit flips, into each window
+    # the two-window schedule changes the input drive between windows
     for schedule in ([({0: 1}, 6)], [({0: 1}, 3), ({0: 0}, 3)]):
         big = trial_states(net, schedule, BATCH + 37, seed=9, record=list(range(len(net))))
         small = trial_states(net, schedule, BATCH, seed=9, record=list(range(len(net))))
@@ -41,9 +41,9 @@ def test_batching_is_transparent():
 def test_determinism():
     net = random_network(6, n_inputs=2, n_aux=2)
     clamps = {u: 0 for u in net.input_ids}
-    # the two-window schedule flips input 0 and frees input 1
+    # the two-window schedule flips input 0
     for schedule, trials in (([(clamps, 4)], 100),
-                             ([(clamps, 2), ({0: 1}, 3)], BATCH + 37)):
+                             ([(clamps, 2), ({**clamps, 0: 1}, 3)], BATCH + 37)):
         a = trial_states(net, schedule, trials, seed=1, record=[0, 1, 2])
         b = trial_states(net, schedule, trials, seed=1, record=[0, 1, 2])
         assert np.array_equal(a, b)
@@ -215,16 +215,16 @@ def _forward_marginals(net, schedule):
     return np.clip(marginals, 0.0, 1.0)  # sums of products may round past 1
 
 
-# (seed, inputs, auxiliaries, lambda, schedule): input 0 is clamped in every
-# window; in the multi-window schedules its bit changes and input 1 is
-# clamped in some windows and free in others.
+# (seed, inputs, auxiliaries, lambda, schedule): every window clamps every
+# input; in the multi-window schedules the bits change between windows.
 _ORACLE_CASES = {
     "one-window-N8": (1, 2, 5, Fraction(1, 4), [({0: 1, 1: 0}, 7)]),
-    "one-window-N12-unclamped-input": (2, 3, 8, Fraction(1, 1), [({0: 1, 2: 1}, 6)]),
+    "one-window-N12": (2, 3, 8, Fraction(1, 1), [({0: 1, 1: 0, 2: 1}, 6)]),
     "three-windows-N10": (3, 2, 7, Fraction(1, 2),
-                          [({0: 1, 1: 1}, 3), ({0: 0}, 3), ({0: 1, 1: 0}, 3)]),
-    "two-windows-N12": (5, 3, 8, Fraction(3, 2), [({0: 0, 1: 1, 2: 1}, 4), ({0: 1, 2: 0}, 4)]),
-    "two-windows-N9-cold": (8, 2, 6, Fraction(1, 8), [({0: 1}, 3), ({0: 0, 1: 1}, 4)]),
+                          [({0: 1, 1: 1}, 3), ({0: 0, 1: 1}, 3), ({0: 1, 1: 0}, 3)]),
+    "two-windows-N12": (5, 3, 8, Fraction(3, 2),
+                        [({0: 0, 1: 1, 2: 1}, 4), ({0: 1, 1: 0, 2: 0}, 4)]),
+    "two-windows-N9-cold": (8, 2, 6, Fraction(1, 8), [({0: 1, 1: 0}, 3), ({0: 0, 1: 1}, 4)]),
 }
 
 
@@ -284,6 +284,8 @@ _BAD_SCHEDULES = {
     "unhashable-bit": ([({0: [1]}, 3)], 0),
     "float-id": ([({0.0: 1}, 3)], 0),
     "non-input": ([({1: 1}, 3)], 0),
+    "missing-input": ([({}, 3)], 0),
+    "input-freed-in-window-2": ([({0: 1}, 2), ({}, 2)], 0),
     "id-past-end": ([({2: 1}, 3)], 0),
     "negative-id": ([({-1: 1}, 3)], 0),
     "empty": ([], 0),
@@ -309,13 +311,13 @@ def test_engines_reject_the_same_bad_schedules(engine, case):
 
 
 def test_operator_memo_is_transparent(tmp_path):
-    # One network object runs three fold sets in turn (all inputs, inputs 0
-    # and 2, none); each call must match a fresh, never simulated copy.
+    # One network object runs three schedules in turn; each call must match
+    # a fresh, never simulated copy.
     net = random_network(11, n_inputs=3, n_aux=6)
     schedules = [
         [({0: 1, 1: 0, 2: 1}, 5)],
-        [({0: 1, 1: 1, 2: 0}, 3), ({0: 0, 2: 1}, 3)],
-        [({0: 1}, 3), ({1: 1, 2: 0}, 3)],
+        [({0: 1, 1: 1, 2: 0}, 3), ({0: 0, 1: 1, 2: 1}, 3)],
+        [({0: 1, 1: 0, 2: 0}, 3), ({0: 0, 1: 1, 2: 0}, 3)],
     ]
     record = list(range(len(net)))
     for k in (0, 1, 2, 0, 2, 1, 1):
@@ -332,7 +334,7 @@ def test_operator_memo_is_transparent(tmp_path):
 def test_cached_operator_is_read_only():
     net, xs, u = _mixed_sign_net(70)
     trial_states(net, [({x: 1 for x in xs}, 3)], 4, seed=0, record=[u])
-    w_free, w_fixed, bias, wide, pos = _operator(net, tuple(xs))
+    w_free, w_fixed, bias, wide, pos = _operator(net)
     assert wide.size == 1
     for a in (w_free.data, w_fixed.data, bias, wide, pos):
         with pytest.raises(ValueError):

@@ -196,7 +196,7 @@ def test_circuit_states_rejects_bad_arguments():
     for offsets in (tc.offsets[:-1], tc.offsets + (0.0,)):
         with pytest.raises(InvalidParameterError, match="one offset per gate"):
             ThresholdCircuit(ff, offsets)
-    for clamps in ({ff.out: 1}, {ff.inputs[0]: 2}):
+    for clamps in ({ff.out: 1}, {ff.inputs[0]: 2}, {}):
         with pytest.raises(InvalidParameterError):
             circuit_states(ff, clamps, 10, 0, [ff.out])
         with pytest.raises(InvalidParameterError):
