@@ -32,16 +32,13 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import SATURATION, ClampSpec, check_count, check_schedule
-from .errors import InvalidParameterError, ResourceBudgetError
+from .dynamics import MAX_RECORDED_BITS  # noqa: F401 (re-exported: trial_states' budget)
+from .errors import InvalidParameterError
 from .model import Network
 
 # Trials per RNG batch. Part of the reproducibility contract: changing it
 # changes streams, so it is a constant, not a parameter.
 BATCH = 512
-
-# Recorded bits, trials x rounds x recorded neurons, one call may return: a
-# 256 MiB bool array, 97x the largest call in the tests (10,000 x 3 x 92).
-MAX_RECORDED_BITS = 1 << 28
 
 # Per-neuron |bias| + sum|w| from which float64 potentials could round.
 WIDE = 1 << 52
@@ -61,13 +58,25 @@ def _digits(values: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Weight matrix (row v is neuron v) and bias vector over the columns of
-    the ``free`` neurons, and the wide ones' columns: column i is neuron
-    free[i] (zero if wide), column len(free) + k * len(wide) + j is digit k
-    of wide neuron j.  Synapses into inputs are dropped, as in the exact engine."""
-    n, nf = len(net), len(free)
-    free = np.asarray(free, dtype=np.int64)
+def _operator(net: Network) -> tuple:
+    """(w_free, w_fixed, bias, wide, pos) for the state layout of
+    :func:`trial_states`: the non-inputs ("free") first, then the inputs.
+
+    ``w_free`` and ``w_fixed`` are the transposed weights from the free and
+    from the input rows.  Column i is free neuron i (zero if it is wide),
+    and column nf + k * len(wide) + j is digit k of wide neuron j; ``bias``
+    holds each column's bias and ``wide`` the wide neurons' positions among
+    the free.  Synapses into inputs are dropped, as in the exact engine.
+    ``pos`` is the state row of each neuron.
+
+    It is built once and kept in ``net._operator``; its arrays are
+    read-only, as every call shares them.
+    """
+    if net._operator is not None:
+        return net._operator
+    n, inputs = len(net), list(net.input_ids)
+    free = np.setdiff1d(np.arange(n), inputs)
+    nf = free.size
     pre = np.fromiter((s.pre for s in net.synapses), np.int64, len(net.synapses))
     post = np.fromiter((s.post for s in net.synapses), np.int64, len(net.synapses))
     weight = np.array([s.weight for s in net.synapses], dtype=object)
@@ -75,45 +84,30 @@ def _coefficients(net: Network, free: list[int]) -> tuple[sparse.csr_matrix, np.
     span = np.abs(bias)
     np.add.at(span, post, np.abs(weight))
     bias = bias[free]
-    wide = np.flatnonzero(span[free] >= WIDE)  # positions in free
+    wide = np.flatnonzero(span[free] >= WIDE)
     count = -(-max((int(v).bit_length() for v in span[free[wide]]), default=0) // DIGIT_BITS)
+    # col: the column of each narrow free neuron, -1 elsewhere; digit: the
+    # first digit column of each wide one, -1 elsewhere
     col = np.full(n, -1, dtype=np.int64)
     col[free] = np.arange(nf)
+    col[free[wide]] = -1
     digit = np.full(n, -1, dtype=np.int64)
     digit[free[wide]] = nf + np.arange(wide.size)
 
-    kept = np.ones(n, dtype=bool)
-    kept[list(net.input_ids)] = False
-    narrow = kept[post] & (digit[post] < 0)
-    into_wide = kept[post] & (digit[post] >= 0)
+    narrow, into_wide = col[post] >= 0, digit[post] >= 0
     offsets = (wide.size * np.arange(count))[:, None]
     rows = np.concatenate([pre[narrow], np.tile(pre[into_wide], count)])
     cols = np.concatenate([col[post[narrow]], (digit[post[into_wide]] + offsets).ravel()])
     vals = np.concatenate([weight[narrow].astype(np.float64),
                            _digits(weight[into_wide], count).ravel()])
     w = sparse.csr_matrix((vals, (rows, cols)), shape=(n, nf + count * wide.size))
-    narrow_bias = np.where(digit[free] < 0, bias, 0).astype(np.float64)
-    return w, np.concatenate([narrow_bias, _digits(bias[wide], count).ravel()]), wide
-
-
-def _operator(net: Network) -> tuple:
-    """(w_free, w_fixed, bias, wide, pos): the transposed weights from the
-    non-input and the input rows, the bias and wide columns of
-    :func:`_coefficients` over the non-inputs, and the state row of each
-    neuron.
-
-    It is built once and kept in ``net._operator``; its arrays are
-    read-only, as every call shares them.
-    """
-    if net._operator is None:
-        inputs = list(net.input_ids)
-        free = sorted(set(range(len(net))) - set(inputs))
-        w, bias, wide = _coefficients(net, free)
-        w_free, w_fixed = w[free].T.tocsr(), w[inputs].T.tocsr()
-        pos = np.argsort(free + inputs)
-        for a in (w_free.data, w_fixed.data, bias, wide, pos):
-            a.setflags(write=False)
-        net._operator = (w_free, w_fixed, bias, wide, pos)
+    bias = np.concatenate([np.where(col[free] >= 0, bias, 0).astype(np.float64),
+                           _digits(bias[wide], count).ravel()])
+    w_free, w_fixed = w[free].T.tocsr(), w[inputs].T.tocsr()
+    pos = np.argsort(np.concatenate([free, inputs]))
+    for a in (w_free.data, w_fixed.data, bias, wide, pos):
+        a.setflags(write=False)
+    net._operator = (w_free, w_fixed, bias, wide, pos)
     return net._operator
 
 
@@ -129,19 +123,16 @@ def trial_states(
     ``schedule`` is a list of (clamps, duration) windows as in
     :func:`neuroram.dynamics.run_schedule`; a fixed clamp for T+1 rounds is
     ``[(clamps, T + 1)]``.  ``record`` lists the neuron ids, each in [0, N),
-    whose bits are returned.  A result of more than :data:`MAX_RECORDED_BITS`
-    bits raises :class:`ResourceBudgetError` before anything is simulated.
+    whose bits are returned.  :func:`neuroram.dynamics.check_schedule`
+    checks the schedule and seed for both engines, and a result of more
+    than :data:`MAX_RECORDED_BITS` bits raises :class:`ResourceBudgetError`
+    before anything is simulated.
     """
     check_count("trials", trials, 1)
-    check_schedule(net, schedule, seed)
+    rounds = check_schedule(net, schedule, seed, trials * len(record))
     n = len(net)
     if any(not 0 <= u < n for u in record):
         raise InvalidParameterError(f"record ids must lie in [0, {n}), got {list(record)}")
-    rounds = sum(duration for _, duration in schedule) - 1
-    if trials * (rounds + 1) * len(record) > MAX_RECORDED_BITS:
-        raise ResourceBudgetError(
-            f"recorded bits trials x rounds x neurons = {trials} x {rounds + 1} x {len(record)} "
-            f"exceeds the budget of {MAX_RECORDED_BITS}")
 
     # The state has one bool row per neuron, non-inputs ("free") first, and
     # one column per trial.  Per round: (input drive - bias, input bits).

@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import dec
 from .dynamics import default_lambda
 from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
@@ -210,13 +209,6 @@ def locked_index_check(fired, layout: SimilarityLayout) -> str:
     return LOCK_UNSTABLE if (index != index[:1]).any() else LOCK_OK
 
 
-def locked_index_values(fired, layout: SimilarityLayout, at_round: int = 2) -> tuple[int, ...]:
-    """The index each probe settled on, read at ``at_round`` from rows shaped
-    as for :func:`locked_index_check`."""
-    bits = np.asarray(fired, dtype=bool)[at_round, 1:].reshape(layout.k, -1)
-    return tuple(dec(tuple(int(b) for b in group)) for group in bits)
-
-
 def sampling_miss_count(
     n: int,
     probes: int,
@@ -239,9 +231,3 @@ def sampling_miss_count(
     idx = gen.integers(0, n, size=(draws, probes))
     hits = diff[idx].any(axis=1)
     return int((~hits).sum())
-
-
-def miss_bound_chain(n: int, eps: float, c: float = 2.0) -> tuple[float, float]:
-    """((1-eps)**K, n**-c); the first is at most the second by construction of K."""
-    k = sample_count(n, eps, c)
-    return (1.0 - eps) ** k, float(n) ** (-c)

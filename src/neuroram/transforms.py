@@ -31,7 +31,9 @@ import numpy as np
 from .dynamics import ClampSpec, check_count, initial_state
 from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
-from .montecarlo import BATCH, trial_states
+# trial_states stays importable here: the benchmark harness checks that a
+# traced distribution_equivalence restores transforms.trial_states.
+from .montecarlo import BATCH, final_bit_counts, trial_states  # noqa: F401
 
 # Neurons plus synapses an unrolled network may copy, (t - 1) x (non-input
 # neurons + their incoming synapses): about 1.4 kB each to unroll and save,
@@ -267,8 +269,8 @@ def distribution_equivalence(
 ) -> EquivalenceReport:
     """Estimate Pr[output fires at round t] both ways and compare.
 
-    Side one simulates the recurrent network with
-    :func:`neuroram.montecarlo.trial_states`; side two evaluates ``trials``
+    Side one counts the recurrent network's hits with
+    :func:`neuroram.montecarlo.final_bit_counts`; side two evaluates ``trials``
     circuits drawn from the unrolled graph with :func:`circuit_states`.  The
     two estimators target the same probability, so the report flags |delta|
     beyond four binomial standard deviations.
@@ -276,9 +278,7 @@ def distribution_equivalence(
     if trials < 10_000:
         raise InvalidParameterError(f"need at least 1e4 trials, got {trials}")
     ff = unroll(net, t)
-    out = net.output_ids[0]
-    states = trial_states(net, [(input_bits, t + 1)], trials, seed, [out])
-    p_net = float(states[:, t, 0].mean())
+    p_net = final_bit_counts(net, input_bits, t, trials, seed, net.output_ids[0]) / trials
     remapped = {new: input_bits[old] for old, new in zip(net.input_ids, ff.inputs)}
     p_circ = float(circuit_states(ff, remapped, trials, seed, [ff.out]).mean())
     pooled = 0.5 * (p_net + p_circ)

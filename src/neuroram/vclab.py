@@ -104,8 +104,9 @@ def count_dichotomies_detailed(
 
     The per-gate maxima feed the product bound: the count can never exceed
     their product, since the search tree has at most that many leaves.
-    Searches that could pass :data:`MAX_LEAVES` leaves raise
-    :class:`ResourceBudgetError`.
+    A gate yields at most z + 1 patterns on z samples, so a search has at
+    most (z+1)^m leaves; past :data:`MAX_LEAVES` it raises
+    :class:`ResourceBudgetError` before descending.
     """
     _check_samples(arch, samples)
     z = len(samples)
@@ -118,17 +119,12 @@ def count_dichotomies_detailed(
 
     labelings: set[tuple[int, ...]] = set()
     gate_max = [0] * arch.m
-    visited = 0
 
     # Per-sample value vectors indexed by source id (inputs then gates).
     base = [list(map(float, s)) + [0.0] * arch.m for s in samples]
 
     def descend(k: int) -> None:
-        nonlocal visited
         if k == arch.m:
-            visited += 1
-            if visited > MAX_LEAVES:
-                raise ResourceBudgetError(f"enumeration exceeded the budget of {MAX_LEAVES}")
             labelings.add(tuple(int(vals[arch.d + arch.output]) for vals in base))
             return
         patterns = _gate_patterns(arch.gates[k], base)

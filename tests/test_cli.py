@@ -417,14 +417,19 @@ def test_unroll_refuses_copies_past_the_size_budget(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("command", [
-    ["index", "--n", "16", "--x", "1011001110001111", "--y", "0110"],
-    ["similarity", "--n", "16", "--eps", "0.25", "--x1", "1" * 16, "--x2", "0" * 16],
-], ids=["index", "similarity"])
-def test_trial_commands_refuse_records_past_the_budget(capsys, command):
-    # 10**9 trials would record about 20 GB of states; the budget refuses
-    # them before any trial runs
+    ["index", "--n", "16", "--x", "1011001110001111", "--y", "0110", "--trials", "1000000000"],
+    ["similarity", "--n", "16", "--eps", "0.25", "--x1", "1" * 16, "--x2", "0" * 16,
+     "--trials", "1000000000"],
+    ["run", "--net", "r16.json", "--inputs", "0" * 20, "--rounds", "10000000000"],
+], ids=["index", "similarity", "run"])
+def test_trial_commands_refuse_records_past_the_budget(tmp_path, monkeypatch, capsys, command):
+    # 10**9 trials would record about 20 GB of states, and 10**10 rounds of
+    # the n = 16 unit's neurons about 1 TB; the budget refuses them before
+    # any round runs
+    monkeypatch.chdir(tmp_path)
+    save_network(build_neuro_ram(16)[0], "r16.json")
     start = time.perf_counter()
-    assert main([*command, "--trials", "1000000000"]) == 2
+    assert main(command) == 2
     assert time.perf_counter() - start < 1
     assert f"exceeds the budget of {MAX_RECORDED_BITS}" in capsys.readouterr().err
 

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from neuroram import dynamics, montecarlo
 from neuroram.dynamics import firing_probability, run, run_schedule
-from neuroram.errors import InvalidParameterError
+from neuroram.errors import InvalidParameterError, ResourceBudgetError
 from neuroram.model import Kind, NetworkBuilder, Polarity
-from neuroram.montecarlo import BATCH, _coefficients, _operator, final_bit_counts, trial_states
+from neuroram.montecarlo import (
+    BATCH, MAX_RECORDED_BITS, _operator, final_bit_counts, trial_states,
+)
 from neuroram.ramnet import IndexInstance, address_bits, build_neuro_ram, index_hits
 from neuroram.randomnets import random_network
 from neuroram.serialize import network_from_json, network_to_json, save_network
@@ -128,7 +131,8 @@ def test_mixed_sign_wide_coefficients_follow_the_exact_potential(e):
 
 
 def _coefficients_loop(net, free):
-    """Per-synapse reference for ``_coefficients``."""
+    """Per-synapse reference for the weights and bias of ``_operator``: row v
+    of the weights is neuron v, over the columns of the ``free`` neurons."""
     span = [abs(u.bias) for u in net.neurons]
     for s in net.synapses:
         span[s.post] += abs(s.weight)
@@ -155,18 +159,18 @@ def _coefficients_loop(net, free):
 
 
 def test_coefficients_match_the_per_synapse_loop():
-    ram, _ = build_neuro_ram(16)
-    sim, layout = build_similarity(16, 0.25, 2.0, Fraction(1, 32))
-    cases = [(ram, ram.input_ids), (ram, ()), (sim, layout.x1 + layout.x2),
-             (_mixed_sign_net(70)[0], (0, 1, 2)), (_mixed_sign_net(130)[0], (1,))]
-    cases += [(random_network(s, n_inputs=3, n_aux=6), fixed)
-              for s in range(3) for fixed in ((0, 1, 2), (0, 2), ())]
-    for net, fixed in cases:
-        free = sorted(set(range(len(net))) - set(fixed))
-        w, bias, wide = _coefficients(net, free)
+    nets = [build_neuro_ram(16)[0], build_similarity(16, 0.25, 2.0, Fraction(1, 32))[0],
+            _mixed_sign_net(70)[0], _mixed_sign_net(130)[0]]
+    nets += [random_network(s, n_inputs=3, n_aux=6) for s in range(3)]
+    for net in nets:
+        inputs = list(net.input_ids)
+        free = sorted(set(range(len(net))) - set(inputs))
+        w_free, w_fixed, bias, wide, pos = _operator(net)
         want_w, want_bias, want_wide = _coefficients_loop(net, free)
-        assert np.array_equal(w.toarray(), want_w)
+        assert np.array_equal(w_free.T.toarray(), want_w[free])
+        assert np.array_equal(w_fixed.T.toarray(), want_w[inputs])
         assert np.array_equal(bias, want_bias) and np.array_equal(wide, want_wide)
+        assert np.array_equal(pos[free + inputs], np.arange(len(net)))
 
 
 def test_indexing_n4096_through_the_trial_engine():
@@ -277,8 +281,8 @@ _ENGINES = {
     "vectorized": lambda net, schedule, seed: trial_states(net, schedule, 5, seed, [0]),
 }
 
-# Both engines share one validator; these are the inputs it must reject.
-# Neuron 0 is the input, neuron 1 the output.
+# Both engines share one validator; these are the inputs it must reject on
+# the network of _one_input_net.
 _BAD_SCHEDULES = {
     "bit-2": ([({0: 2}, 3)], 0),
     "unhashable-bit": ([({0: [1]}, 3)], 0),
@@ -298,16 +302,40 @@ _BAD_SCHEDULES = {
 }
 
 
-@pytest.mark.parametrize("case", _BAD_SCHEDULES)
-@pytest.mark.parametrize("engine", _ENGINES)
-def test_engines_reject_the_same_bad_schedules(engine, case):
+def _one_input_net():
+    """Neuron 0 is the input, neuron 1 the output."""
     b = NetworkBuilder(Fraction(1, 32))
     b.add_neuron("x", Kind.INPUT, Polarity.EXCITATORY, 0)
     b.add_neuron("u", Kind.OUTPUT, Polarity.EXCITATORY, 1)
     b.add_synapse(0, 1, 2)
+    return b.build()
+
+
+@pytest.mark.parametrize("case", _BAD_SCHEDULES)
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_engines_reject_the_same_bad_schedules(engine, case):
     schedule, seed = _BAD_SCHEDULES[case]
     with pytest.raises(InvalidParameterError):
-        _ENGINES[engine](b.build(), schedule, seed)
+        _ENGINES[engine](_one_input_net(), schedule, seed)
+
+
+@pytest.mark.parametrize("engine", ["exact", "vectorized"])
+def test_engines_refuse_the_same_oversized_schedule(monkeypatch, engine):
+    # Both engines record 2 bits per round here (every neuron of one trial),
+    # so 2**27 + 1 rounds pass the budget by 2 bits.  Any simulation would
+    # reach the patched entry points first.
+    def simulated(*_):
+        raise AssertionError("simulated past the budget")
+
+    monkeypatch.setattr(dynamics, "initial_state", simulated)
+    monkeypatch.setattr(montecarlo, "_operator", simulated)
+    schedule = [({0: 1}, 3), ({0: 0}, MAX_RECORDED_BITS // 2 - 2)]
+    net = _one_input_net()
+    with pytest.raises(ResourceBudgetError, match=f"exceeds the budget of {MAX_RECORDED_BITS}"):
+        if engine == "exact":
+            run_schedule(net, schedule, 0)
+        else:
+            trial_states(net, schedule, 1, 0, [0, 1])
 
 
 def test_operator_memo_is_transparent(tmp_path):

@@ -5,7 +5,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from neuroram.bits import dec
 from neuroram.dynamics import run
 from neuroram.errors import InvalidParameterError
 from neuroram.model import Network, validate
@@ -13,7 +12,7 @@ from neuroram.montecarlo import trial_states
 from neuroram.similarity import (
     LOCK_INACTIVE, LOCK_OK, LOCK_UNSTABLE,
     build_comparator_gadget, build_similarity, clamps_for, locked_index_check,
-    locked_index_values, miss_bound_chain, sample_count, sampling_miss_count,
+    sample_count, sampling_miss_count,
     similarity_positive_count,
 )
 
@@ -256,25 +255,7 @@ def test_index_uniformity_total_variation(sim16):
         assert tv < 0.05, f"probe {k}: TV {tv:.4f}"
 
 
-def test_locked_index_values_match_round_two_bits(sim4):
-    net, layout = sim4
-    x = (1, 0, 0, 0)
-    rows = lock_rows(net, layout, x, x, 1, seed=13)[0]
-    values = locked_index_values(rows, layout)
-    assert len(values) == layout.k
-    col = {u: i for i, u in enumerate(layout.lock_record)}
-    for k, group in enumerate(layout.index):
-        assert values[k] == dec(tuple(int(rows[2, col[y]]) for y in group))
-
-
 # --- sampling bound --------------------------------------------------------
-
-def test_miss_bound_chain_arithmetic():
-    miss, target = miss_bound_chain(16, 0.25, 2)
-    assert miss == pytest.approx(0.75 ** 23)
-    assert target == 16.0 ** -2
-    assert miss <= target
-
 
 def test_sampling_miss_rate_within_three_times_bound():
     k = sample_count(16, 0.25, 2)
