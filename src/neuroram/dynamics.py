@@ -137,7 +137,11 @@ def check_schedule(
     check_count("seed", seed, 0)
     if not schedule:
         raise InvalidParameterError("schedule must contain at least one window")
-    for clamps, duration in schedule:
+    for i, window in enumerate(schedule):
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and isinstance(window[0], Mapping)):
+            raise InvalidParameterError(f"schedule[{i}]: expected a (clamps, duration) pair")
+        clamps, duration = window
         check_count("window duration", duration, 1)
         _check_clamps(net, clamps)
     rounds = sum(duration for _, duration in schedule)

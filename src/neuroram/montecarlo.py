@@ -19,7 +19,8 @@ is below 2**52 sums its weights in one column; a wider one (the encoders
 from n = 4096 on) sums each signed base-2**32 digit of its coefficients in
 its own column, and Horner with the carry clipped to +-2**20 recombines
 them.  That is exact while |pot| < 2**51, and otherwise correctly signed
-past 2**51, which saturates the sigmoid below temperature 2**45.  Digit
+past 2**51, which saturates the sigmoid only below temperature 2**45: a
+network with a wide neuron and a temperature >= 2**45 is refused.  Digit
 sums stay exact below 2**19 incoming synapses per neuron.
 
 Results are deterministic in (network, clamps, rounds, trials, seed) and
@@ -58,6 +59,18 @@ def _digits(values: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _recombine(pot: np.ndarray, wide: np.ndarray, m: int) -> np.ndarray:
+    """``pot[:m]``, with rows ``wide`` recombined from the digit sums in rows
+    m + k * len(wide) + j by Horner with the carry clipped to +-CARRY."""
+    if wide.size:
+        digits = pot[m:].reshape(-1, wide.size, pot.shape[1])
+        v = digits[-1]
+        for d in digits[-2::-1]:
+            v = np.clip(v, -CARRY, CARRY) * float(1 << DIGIT_BITS) + d
+        pot[wide] = v
+    return pot[:m]
+
+
 def _operator(net: Network) -> tuple:
     """(w_free, w_fixed, bias, wide, pos) for the state layout of
     :func:`trial_states`: the non-inputs ("free") first, then the inputs.
@@ -67,7 +80,8 @@ def _operator(net: Network) -> tuple:
     and column nf + k * len(wide) + j is digit k of wide neuron j; ``bias``
     holds each column's bias and ``wide`` the wide neurons' positions among
     the free.  Synapses into inputs are dropped, as in the exact engine.
-    ``pos`` is the state row of each neuron.
+    ``pos`` is the state row of each neuron.  A wide neuron at temperature
+    >= 2**45 raises :class:`InvalidParameterError`.
 
     It is built once and kept in ``net._operator``; its arrays are
     read-only, as every call shares them.
@@ -85,6 +99,10 @@ def _operator(net: Network) -> tuple:
     np.add.at(span, post, np.abs(weight))
     bias = bias[free]
     wide = np.flatnonzero(span[free] >= WIDE)
+    if wide.size and net.lam >= 1 << 45:
+        raise InvalidParameterError(
+            f"neuron {net.neurons[free[wide[0]]].name!r}: |bias| + sum|w| >= 2**52 needs "
+            f"a temperature below 2**45, got {net.lam}")
     count = -(-max((int(v).bit_length() for v in span[free[wide]]), default=0) // DIGIT_BITS)
     # col: the column of each narrow free neuron, -1 elsewhere; digit: the
     # first digit column of each wide one, -1 elsewhere
@@ -131,8 +149,10 @@ def trial_states(
     check_count("trials", trials, 1)
     rounds = check_schedule(net, schedule, seed, trials * len(record))
     n = len(net)
-    if any(not 0 <= u < n for u in record):
-        raise InvalidParameterError(f"record ids must lie in [0, {n}), got {list(record)}")
+    for u in record:
+        check_count("each record id", u, 0)
+        if u >= n:
+            raise InvalidParameterError(f"record ids must lie in [0, {n}), got {list(record)}")
 
     # The state has one bool row per neuron, non-inputs ("free") first, and
     # one column per trial.  Per round: (input drive - bias, input bits).
@@ -156,15 +176,9 @@ def trial_states(
                 # Round t's potential sees round t-1's state, clamps included.
                 pot = w_free @ fired[:nf].astype(np.float64)
                 pot += per_round[t - 1][0]
-                if wide.size:
-                    digits = pot[nf:].reshape(-1, wide.size, b)
-                    v = digits[-1]
-                    for k in range(digits.shape[0] - 2, -1, -1):
-                        v = np.clip(v, -CARRY, CARRY) * float(1 << DIGIT_BITS) + digits[k]
-                    pot[wide] = v
                 # p = sigmoid(pot / lam), exactly 0 below -SATURATION; clipping
                 # at +SATURATION already rounds to exactly 1.
-                neg = pot[:nf]
+                neg = _recombine(pot, wide, nf)
                 neg *= -inv_lam
                 silent = neg > SATURATION
                 p = 1.0 / (1.0 + np.exp(np.clip(neg, -SATURATION, SATURATION, out=neg)))

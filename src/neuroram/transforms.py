@@ -17,14 +17,16 @@ the deterministic gate fires equals the stochastic firing probability --
 the network's output distribution is realized as a random draw of a
 deterministic linear threshold circuit.  One sampler, ``_offsets``, and
 one evaluator, ``_gate_bits``, serve every circuit path; a stored circuit
-is its row of offsets, compared with the exact drive - bias, so the
-threshold bias + offset is never rounded into one float.
+is its row of offsets, compared with drive - bias summed exactly on
+:mod:`neuroram.montecarlo`'s operator; offsets stay below 37 * lambda <
+2**51 in magnitude, so no float ever holds bias + offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import InvalidParameterError, ResourceBudgetError
 from .model import Kind, Network, NetworkBuilder, Polarity
 # trial_states stays importable here: the benchmark harness checks that a
 # traced distribution_equivalence restores transforms.trial_states.
-from .montecarlo import BATCH, final_bit_counts, trial_states  # noqa: F401
+from .montecarlo import BATCH, _operator, _recombine, final_bit_counts, trial_states  # noqa: F401
 
 # Neurons plus synapses an unrolled network may copy, (t - 1) x (non-input
 # neurons + their incoming synapses): about 1.4 kB each to unroll and save,
@@ -86,6 +88,23 @@ class FeedforwardNetwork:
     def rounds(self) -> int:
         """Round at which the output matches the source network."""
         return len(self.layers) + 1
+
+    @cached_property
+    def _blocks(self) -> list:
+        """(block, rows, wide, gates) per gate layer, the output last, cut once
+        from the trial engine's operator: ``block`` weighs the previous layer
+        into ``rows``, the layer's gates and then the digits of those at
+        ``wide``; ``gates`` slices the gate order."""
+        w_free, _, _, wide, pos = _operator(self.net)
+        digits = np.arange(w_free.shape[1], w_free.shape[0]).reshape(-1, max(wide.size, 1))
+        blocks, prev, lo = [], [], 0
+        for layer in self.layers + ((self.out,),):
+            cols = pos[list(layer)]
+            local = np.flatnonzero(np.isin(cols, wide))
+            rows = np.concatenate([cols, digits[:, np.searchsorted(wide, cols[local])].ravel()])
+            blocks.append((w_free[rows][:, prev], rows, local, slice(lo, lo + cols.size)))
+            prev, lo = cols, lo + cols.size
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -179,25 +198,6 @@ def _gate_ids(ff: FeedforwardNetwork) -> list[int]:
     return [nid for layer in ff.layers for nid in layer] + [ff.out]
 
 
-def _layer_matrices(ff: FeedforwardNetwork):
-    """Dense (w, bias) per layer, the output last; w has a row per input, then
-    one per gate of the previous layer.  Rejects a gate whose |bias| + sum|w|
-    reaches 2**53, past which drive - bias could round."""
-    blocks, prev = [], ()
-    for layer in ff.layers + ((ff.out,),):
-        row = {nid: k for k, nid in enumerate(ff.inputs + prev)}
-        w = np.zeros((len(row), len(layer)))
-        for k, nid in enumerate(layer):
-            u = ff.net.neurons[nid]
-            if abs(u.bias) + sum(abs(v) for _, v in ff.net.incoming[nid]) >= 1 << 53:
-                raise InvalidParameterError(f"gate {u.name!r} (id {nid}): |bias| + sum|w| >= 2**53")
-            for pre, v in ff.net.incoming[nid]:
-                w[row[pre], k] += v
-        blocks.append((w, np.array([ff.net.neurons[nid].bias for nid in layer], dtype=np.float64)))
-        prev = layer
-    return blocks
-
-
 def _offsets(ff: FeedforwardNetwork, trials: int, seed: int):
     """Logistic(0, lambda) offsets of ``trials`` circuits in (circuits, gates)
     blocks of at most ``BATCH``; rows come from one stream in turn, so
@@ -208,20 +208,19 @@ def _offsets(ff: FeedforwardNetwork, trials: int, seed: int):
         yield gen.logistic(0.0, float(ff.net.lam), size=(min(BATCH, trials - lo), gates))
 
 
-def _gate_bits(blocks: list, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Bool (circuits, gates) bits on input row ``x``: a gate fires iff
-    drive - bias >= its offset.  Every partial sum is an integer below 2**53,
-    so drive - bias is exact."""
-    bits = np.empty(offsets.shape, dtype=bool)
-    acts = np.zeros((len(offsets), 0))
-    lo = 0
-    for w, bias in blocks:
-        hi = lo + bias.size
-        pot = acts @ w[x.size:] + (x @ w[:x.size] - bias)
-        np.greater_equal(pot, offsets[:, lo:hi], out=bits[:, lo:hi])
-        acts = bits[:, lo:hi].astype(np.float64)
-        lo = hi
-    return bits
+def _gate_bits(ff: FeedforwardNetwork, input_bits: ClampSpec, batches):
+    """Bool (gates, circuits) bits per (circuits, gates) block of offsets in
+    ``batches``: a gate fires iff its potential is >= its offset."""
+    _, w_fixed, bias, _, _ = _operator(ff.net)
+    drive = w_fixed @ initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64) - bias
+    for offsets in batches:
+        bits = np.empty(offsets.shape[::-1], dtype=bool)
+        prev = np.zeros((0, len(offsets)))
+        for block, rows, wide, gates in ff._blocks:
+            pot = block @ prev + drive[rows, None]
+            bits[gates] = _recombine(pot, wide, gates.stop - gates.start) >= offsets[:, gates].T
+            prev = bits[gates].astype(np.float64)
+        yield bits
 
 
 def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, seed: int,
@@ -238,26 +237,20 @@ def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, s
     col = {nid: k for k, nid in enumerate(_gate_ids(ff))}
     if not set(record) <= col.keys():
         raise InvalidParameterError(f"record ids must be gates of the circuit, got {list(record)}")
-    blocks = _layer_matrices(ff)
-    x = initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64)
-    return np.concatenate([_gate_bits(blocks, x, offsets)[:, [col[u] for u in record]]
-                           for offsets in _offsets(ff, trials, seed)])
+    return np.concatenate([bits[[col[u] for u in record]].T
+                           for bits in _gate_bits(ff, input_bits, _offsets(ff, trials, seed))])
 
 
 def sample_threshold_circuit(ff: FeedforwardNetwork, seed: int) -> ThresholdCircuit:
     """Draw one deterministic circuit, the first :func:`circuit_states` draws
-    for ``seed``: one logistic offset per gate.  Rejects the gates that
-    :func:`circuit_states` rejects."""
+    for ``seed``: one logistic offset per gate."""
     check_count("seed", seed, 0)
-    _layer_matrices(ff)
     return ThresholdCircuit(ff=ff, offsets=tuple(next(_offsets(ff, 1, seed))[0].tolist()))
 
 
 def eval_threshold_circuit(tc: ThresholdCircuit, input_bits: ClampSpec) -> int:
     """The output gate's bit with inputs clamped as in ``initial_state``."""
-    ff = tc.ff
-    x = initial_state(ff.net, input_bits)[list(ff.inputs)].astype(np.float64)
-    return int(_gate_bits(_layer_matrices(ff), x, np.array([tc.offsets]))[0, -1])
+    return int(next(_gate_bits(tc.ff, input_bits, [np.array([tc.offsets])]))[-1, 0])
 
 
 def distribution_equivalence(

@@ -150,9 +150,9 @@ def test_derandomize_rejects_inconsistent_feedforward_block(tmp_path, capsys, fi
     assert not (tmp_path / "tc.json").exists()
 
 
-def test_derandomize_rejects_gates_past_exact_float_potentials(tmp_path, capsys):
-    # weights (2**60, 1, 1), bias 2**60 + 2: an offset added to the bias
-    # would round away, so no circuit is written
+def test_derandomize_writes_circuits_with_wide_gates(tmp_path):
+    # weights (2**60, 1, 1), bias 2**60 + 2: the gate sums its potential in
+    # digits, and potential 0 stays exact beside the offset
     b = NetworkBuilder(Fraction(1, 4))
     xs = [b.add_neuron(f"x{i}", Kind.INPUT, Polarity.EXCITATORY, 0) for i in range(3)]
     z = b.add_neuron("z", Kind.OUTPUT, Polarity.EXCITATORY, 2**60 + 2)
@@ -161,11 +161,14 @@ def test_derandomize_rejects_gates_past_exact_float_potentials(tmp_path, capsys)
     net_path, ff_path, tc_path = (tmp_path / name for name in ("net.json", "ff.json", "tc.json"))
     save_network(b.build(), net_path)
     assert main(["unroll", "--net", str(net_path), "--t", "2", "--out", str(ff_path)]) == 0
-    capsys.readouterr()
-    code = main(["derandomize", "--net", str(ff_path), "--seed", "0", "--out", str(tc_path)])
-    assert code == 2
-    assert "gate 'z@1'" in capsys.readouterr().err
-    assert not tc_path.exists()
+    for seed in range(8):
+        assert main(["derandomize", "--net", str(ff_path), "--seed", str(seed),
+                     "--out", str(tc_path)]) == 0
+        tc, ff = load_circuit(tc_path), load_feedforward(ff_path)
+        for pattern in product((0, 1), repeat=3):
+            bits = dict(zip(ff.inputs, pattern))
+            want = circuit_states(ff, bits, 1, seed, [ff.out])[0, 0]
+            assert eval_threshold_circuit(tc, bits) == want
 
 
 def test_derandomize_rejects_negative_seed(tmp_path, capsys):

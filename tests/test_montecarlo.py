@@ -16,6 +16,7 @@ from neuroram.ramnet import IndexInstance, address_bits, build_neuro_ram, index_
 from neuroram.randomnets import random_network
 from neuroram.serialize import network_from_json, network_to_json, save_network
 from neuroram.similarity import build_similarity
+from neuroram.transforms import circuit_states, unroll
 
 
 def test_agrees_with_exact_engine_on_rates():
@@ -128,6 +129,34 @@ def test_mixed_sign_wide_coefficients_follow_the_exact_potential(e):
             assert rate == want, (bits, rate)
         else:
             assert abs(rate - want) < 0.02, (bits, rate, want)
+
+
+def _wide_gate_net(lam):
+    """Input x into output u: weight 2**60, bias 2**60 - 2**54."""
+    b = NetworkBuilder(lam)
+    b.add_neuron("x", Kind.INPUT, Polarity.EXCITATORY, 0)
+    b.add_neuron("u", Kind.OUTPUT, Polarity.EXCITATORY, 2**60 - 2**54)
+    b.add_synapse(0, 1, 2**60)
+    return b.build()
+
+
+def test_wide_neurons_need_a_temperature_below_2_to_45():
+    # With x on, the potential 2**54 is past the clipped carry's exact range:
+    # read as 2**52 at lambda = 2**54, u would fire with sigmoid(1/4) = 0.56
+    # instead of sigmoid(1) = 0.73.
+    for lam in (Fraction(2**45), Fraction(2**54)):
+        net = _wide_gate_net(lam)
+        with pytest.raises(InvalidParameterError, match=r"'u'.*temperature below 2\*\*45"):
+            trial_states(net, [({0: 1}, 2)], 10, seed=0, record=[1])
+        ff = unroll(net, 2)
+        with pytest.raises(InvalidParameterError, match=r"'u@1'.*temperature below 2\*\*45"):
+            circuit_states(ff, {ff.inputs[0]: 1}, 10, 0, [ff.out])
+    # the exact engine keeps the exact law, here at lambda = 2**54
+    rate = np.mean([run(net, {0: 1}, 1, seed=k)[1, 1] for k in range(2000)])
+    assert abs(rate - firing_probability(2**54, net.lam)) < 0.04
+    # below 2**45 every clipped potential past 2**51 saturates the sigmoid
+    cool = _wide_gate_net(Fraction(2**45 - 1))
+    assert trial_states(cool, [({0: 1}, 2)], 10, seed=0, record=[1])[:, 1, 0].all()
 
 
 def _coefficients_loop(net, free):
@@ -269,7 +298,7 @@ def test_rejects_bad_args():
             trial_states(net, [({0: 1}, 3)], trials, seed=0, record=[0])
 
 
-@pytest.mark.parametrize("record", [[-1], [3], [0, 99]])
+@pytest.mark.parametrize("record", [[-1], [3], [0, 99], [True], [1.0]])
 def test_rejects_record_ids_outside_the_network(record):
     net = random_network(6, n_inputs=1, n_aux=1)  # 3 neurons
     with pytest.raises(InvalidParameterError, match="record"):
@@ -299,6 +328,9 @@ _BAD_SCHEDULES = {
     "bool-seed": ([({0: 1}, 3)], True),
     "float-duration": ([({0: 1}, 2.5)], 0),
     "bool-duration": ([({0: 1}, True)], 0),
+    "window-of-three": ([({0: 1}, 3, 1)], 0),
+    "bare-clamps": ([{0: 1}], 0),
+    "clamps-not-a-mapping": ([([1], 3)], 0),
 }
 
 

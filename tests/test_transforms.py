@@ -127,11 +127,11 @@ def test_tiny_scale_collapses_to_deterministic_threshold():
 
 @pytest.mark.parametrize("net, seeds", [
     (random_network(9, n_inputs=2, n_aux=2), (0, 7)),
-    # potential 0 beside weights near 2**53: an offset added to the bias
-    # as one float would round away
+    # potential 0 beside weights near and past 2**53: an offset added to the
+    # bias as one float would round away
     *((single_gate_net((2**e, 1, 1), bias=2**e + 2, lam=Fraction(1, 4)), range(300))
-      for e in (48, 50, 51)),
-], ids=["random", "e48", "e50", "e51"])
+      for e in (48, 50, 51, 60)),
+], ids=["random", "e48", "e50", "e51", "e60"])
 def test_sampled_circuit_is_the_first_circuit_states_draws(net, seeds):
     ff = unroll(net, 3)
     for seed in seeds:
@@ -152,7 +152,7 @@ def test_circuits_do_not_depend_on_the_trial_count():
     assert np.array_equal(short, long[:BATCH + 37])
 
 
-@pytest.mark.parametrize("seed, weights", [(2, 3), (9, 3), (11, 2**48)])
+@pytest.mark.parametrize("seed, weights", [(2, 3), (9, 3), (11, 2**48), (11, 2**60)])
 def test_evaluator_matches_the_per_gate_integer_loop(seed, weights):
     net = random_network(seed, n_inputs=3, n_aux=3, max_weight=weights, max_bias=weights)
     ff = unroll(net, 4)
@@ -173,17 +173,6 @@ def test_zero_potential_stays_exact_beside_large_weights(e):
                                    trials=100_000, seed=4)
     assert abs(rep.p_circuit - 0.5) < 0.01
     assert rep.ok
-
-
-def test_circuits_reject_gates_past_exact_float_potentials():
-    ff = unroll(single_gate_net((2**52, 1, 1), bias=2**52 + 2, lam=Fraction(1, 4)), 2)
-    bits = {nid: 1 for nid in ff.inputs}
-    with pytest.raises(InvalidParameterError, match=r"gate 'z@1'.*2\*\*53"):
-        circuit_states(ff, bits, 10, 0, [ff.out])
-    with pytest.raises(InvalidParameterError, match="gate 'z@1'"):
-        sample_threshold_circuit(ff, 0)
-    with pytest.raises(InvalidParameterError, match="gate 'z@1'"):
-        eval_threshold_circuit(ThresholdCircuit(ff, offsets=(0.0, 0.0)), bits)
 
 
 def test_circuit_states_rejects_bad_arguments():
