@@ -16,7 +16,6 @@ from .bits import format_bits, hamming, parse_bits
 from .dynamics import run
 from .errors import InvalidParameterError, ResourceBudgetError, SchemaError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
-from .model import validate
 from .ramnet import IndexInstance, build_neuro_ram, index_hits
 from .serialize import (
     load_architecture, load_feedforward, load_network, load_samples, parse_rational,
@@ -71,12 +70,7 @@ def _input_clamps(net, text: str) -> dict[int, int]:
 
 
 def _save_valid(net, out: str, detail: str) -> int:
-    """Save a structurally valid network; print its violations otherwise."""
-    problems = validate(net)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
+    """Save a network, valid by construction, and report its size."""
     save_network(net, out)
     print(f"wrote {out}: {len(net)} neurons, {detail}")
     return 0

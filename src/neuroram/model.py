@@ -7,7 +7,8 @@ construction uses powers of two up to ``2**(sqrt(n)+2)``, which overflows
 simulator's probabilities reproducible.  The temperature is a positive
 rational; it is the only place floating point enters the dynamics.
 
-Structural rules (checked by :func:`validate`):
+Structural rules, enforced when a ``Network`` is constructed, built or
+loaded (:func:`validate` lists the violations):
 
 * input neurons have in-degree zero,
 * every neuron is excitatory (outgoing weights >= 0) or inhibitory
@@ -71,7 +72,9 @@ class Network:
 
     ``incoming[v]`` lists ``(pre, weight)`` pairs, which is the access
     pattern of the dynamics.  Neuron names are the role names (``clk[3]``,
-    ``trig[1]``, ...); :func:`validate` flags a repeated one.  The private
+    ``trig[1]``, ...).  A network that breaks a structural rule is never
+    made: construction raises, listing each :func:`validate` violation as
+    ``rule: subject: detail``.  The private
     ``_operator`` slot memoizes the trial engine's weight operator, filled
     on first use; it is derived from the fields above and is excluded from
     equality, ``repr`` and JSON.
@@ -104,6 +107,8 @@ class Network:
         self.input_ids = tuple(u.id for u in self.neurons if u.kind is Kind.INPUT)
         self.output_ids = tuple(u.id for u in self.neurons if u.kind is Kind.OUTPUT)
         self._operator = None
+        if problems := validate(self):
+            raise InvalidParameterError("invalid network: " + "; ".join(map(str, problems)))
 
     def __len__(self) -> int:
         return len(self.neurons)
@@ -128,12 +133,12 @@ class Network:
 
 @dataclass
 class NetworkBuilder:
-    """Accumulates neurons and synapses, then freezes into a Network."""
+    """Accumulates neurons and synapses; :meth:`build` freezes them into a
+    Network, which enforces the structural rules."""
 
     lam: Fraction
     _neurons: list[Neuron] = field(default_factory=list)
     _synapses: list[Synapse] = field(default_factory=list)
-    _pairs: set[tuple[int, int]] = field(default_factory=set)
 
     def add_neuron(self, name: str, kind: Kind, polarity: Polarity, bias: int) -> int:
         nid = len(self._neurons)
@@ -141,13 +146,7 @@ class NetworkBuilder:
         return nid
 
     def add_synapse(self, pre: int, post: int, weight: int) -> None:
-        weight = int(weight)
-        if weight == 0:
-            return
-        if (pre, post) in self._pairs:
-            raise InvalidParameterError(f"duplicate synapse {pre}->{post}")
-        self._pairs.add((pre, post))
-        self._synapses.append(Synapse(pre, post, weight))
+        self._synapses.append(Synapse(pre, post, int(weight)))
 
     def build(self) -> Network:
         return Network(self.lam, self._neurons, self._synapses)
@@ -167,25 +166,24 @@ def validate(net: Network) -> list[Violation]:
             out.append(Violation("io-polarity", u.name,
                                  f"{u.kind.value} neuron must be excitatory"))
 
-    seen: dict[tuple[int, int], int] = {}
+    # per-neuron flags read once, as the synapse loop is the hot path at build and load
+    name = [u.name for u in net.neurons]
+    is_input = [u.kind is Kind.INPUT for u in net.neurons]
+    excitatory = [u.polarity is Polarity.EXCITATORY for u in net.neurons]
+    seen: set[tuple[int, int]] = set()
     for s in net.synapses:
-        pre = net.neurons[s.pre]
-        post = net.neurons[s.post]
-        if s.weight == 0:
-            out.append(Violation("zero-weight", f"{pre.name}->{post.name}",
+        pre, post, w = s.pre, s.post, s.weight
+        if w == 0:
+            out.append(Violation("zero-weight", f"{name[pre]}->{name[post]}",
                                  "weight 0 encodes an absent synapse"))
-        if post.kind is Kind.INPUT:
-            out.append(Violation("input-in-degree", f"{pre.name}->{post.name}",
+        if is_input[post]:
+            out.append(Violation("input-in-degree", f"{name[pre]}->{name[post]}",
                                  "input neurons take no incoming synapses"))
-        if pre.polarity is Polarity.EXCITATORY and s.weight < 0:
-            out.append(Violation("polarity-sign", f"{pre.name}->{post.name}",
-                                 f"excitatory source with weight {s.weight}"))
-        if pre.polarity is Polarity.INHIBITORY and s.weight > 0:
-            out.append(Violation("polarity-sign", f"{pre.name}->{post.name}",
-                                 f"inhibitory source with weight {s.weight}"))
-        key = (s.pre, s.post)
-        if key in seen:
-            out.append(Violation("duplicate-synapse", f"{pre.name}->{post.name}",
+        if w < 0 if excitatory[pre] else w > 0:
+            out.append(Violation("polarity-sign", f"{name[pre]}->{name[post]}",
+                                 f"{net.neurons[pre].polarity.value} source with weight {w}"))
+        if (pre, post) in seen:
+            out.append(Violation("duplicate-synapse", f"{name[pre]}->{name[post]}",
                                  "more than one synapse for an ordered pair"))
-        seen[key] = s.weight
+        seen.add((pre, post))
     return out

@@ -79,9 +79,8 @@ def _operator(net: Network) -> tuple:
     from the input rows.  Column i is free neuron i (zero if it is wide),
     and column nf + k * len(wide) + j is digit k of wide neuron j; ``bias``
     holds each column's bias and ``wide`` the wide neurons' positions among
-    the free.  Synapses into inputs are dropped, as in the exact engine.
-    ``pos`` is the state row of each neuron.  A wide neuron at temperature
-    >= 2**45 raises :class:`InvalidParameterError`.
+    the free.  ``pos`` is the state row of each neuron.  A wide neuron at
+    temperature >= 2**45 raises :class:`InvalidParameterError`.
 
     It is built once and kept in ``net._operator``; its arrays are
     read-only, as every call shares them.

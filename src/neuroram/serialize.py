@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -38,13 +39,25 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(value: Any, path: str) -> int:
+    """A JSON integer, or a string of an optional '-' and decimal digits."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(f"{path}: expected integer or decimal string, got {value!r}")
     try:
-        return int(value)
-    except ValueError:
-        raise SchemaError(f"{path}: not a decimal integer: {value!r}") from None
+        if isinstance(value, int) or _DECIMAL.fullmatch(value):
+            return int(value)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise SchemaError(f"{path}: not a decimal integer: {value!r}")
+
+
+def _parse_name(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a string, got {value!r}")
+    return value
 
 
 def _parse_float(value: Any, path: str) -> float:
@@ -128,7 +141,7 @@ def network_from_json(doc: Any) -> Network:
         neurons.append(
             Neuron(
                 id=_parse_int(_require(item, "id", path), f"{path}.id"),
-                name=str(_require(item, "name", path)),
+                name=_parse_name(_require(item, "name", path), f"{path}.name"),
                 kind=kind,
                 polarity=polarity,
                 bias=_parse_int(_require(item, "bias", path), f"{path}.bias"),

@@ -62,12 +62,12 @@ class FeedforwardNetwork:
                 or len(set(map(len, self.layers))) > 1):
             raise InvalidParameterError("feedforward.layers: expected every auxiliary neuron "
                                         "exactly once, in layers of equal width")
-        # circuits read only these edges, so any other would silently drop out
+        # circuits read only these edges (none enter an input), so any other would drop out
         depth = {nid: k for k, layer in enumerate((*self.layers, self.net.output_ids), 1)
                  for nid in layer}
         depth.update((nid, 0) for nid in self.net.input_ids)
         for i, s in enumerate(self.net.synapses):
-            if not depth.get(s.post) or depth[s.pre] not in (0, depth[s.post] - 1):
+            if depth[s.pre] not in (0, depth[s.post] - 1):
                 raise InvalidParameterError(
                     f"synapses[{i}]: expected an edge from an input or the previous layer "
                     f"into a gate, got {s.pre} -> {s.post}")
@@ -235,6 +235,8 @@ def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, s
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
     col = {nid: k for k, nid in enumerate(_gate_ids(ff))}
+    for u in record:
+        check_count("each record id", u, 0)
     if not set(record) <= col.keys():
         raise InvalidParameterError(f"record ids must be gates of the circuit, got {list(record)}")
     return np.concatenate([bits[[col[u] for u in record]].T
@@ -243,8 +245,11 @@ def circuit_states(ff: FeedforwardNetwork, input_bits: ClampSpec, trials: int, s
 
 def sample_threshold_circuit(ff: FeedforwardNetwork, seed: int) -> ThresholdCircuit:
     """Draw one deterministic circuit, the first :func:`circuit_states` draws
-    for ``seed``: one logistic offset per gate."""
+    for ``seed``: one logistic offset per gate.  A net the trial engine's
+    operator refuses (a wide gate at a temperature >= 2**45) is refused here
+    too, before anything is drawn."""
     check_count("seed", seed, 0)
+    _operator(ff.net)
     return ThresholdCircuit(ff=ff, offsets=tuple(next(_offsets(ff, 1, seed))[0].tolist()))
 
 

@@ -11,10 +11,12 @@ from neuroram import experiments
 from neuroram.cli import build_parser, main
 from neuroram.experiments import ExperimentConfig, run_experiment, write_csv
 from neuroram.montecarlo import MAX_RECORDED_BITS
-from neuroram.model import Kind, NetworkBuilder, Polarity, validate
+from neuroram.errors import InvalidParameterError
+from neuroram.model import Kind, Network, NetworkBuilder, Neuron, Polarity, Synapse, validate
 from neuroram.ramnet import MAX_UNIT_BITS, IndexInstance, build_neuro_ram, index_hits
 from neuroram.serialize import (
-    load_circuit, load_feedforward, load_network, network_from_json, save_network,
+    load_circuit, load_feedforward, load_network, network_from_json, network_to_json,
+    save_network,
 )
 from neuroram.randomnets import random_network
 from neuroram.similarity import MAX_PROBES
@@ -110,11 +112,14 @@ def _set_layers(edit):
 
 
 def _add_synapse(pre, post):
-    """Put a synapse first; ``pre`` and ``post`` map (layers, output id) to ids."""
+    """Put a synapse first, signed as its source; ``pre`` and ``post`` map
+    (layers, output id) to ids."""
     def apply(doc):
         layers, out = doc["feedforward"]["layers"], len(doc["neurons"]) - 1
-        doc["synapses"].insert(0, {"pre": pre(layers, out), "post": post(layers, out),
-                                   "weight": "-50"})
+        source = pre(layers, out)
+        sign = "-" if doc["neurons"][source]["polarity"] == "inhibitory" else ""
+        doc["synapses"].insert(0, {"pre": source, "post": post(layers, out),
+                                   "weight": f"{sign}50"})
     return apply
 
 
@@ -134,7 +139,8 @@ def _add_output(doc):
     ("synapses[0]", _add_synapse(lambda layers, out: layers[0][3], lambda layers, out: out)),
     ("synapses[0]", _add_synapse(lambda layers, out: layers[1][0],
                                  lambda layers, out: layers[0][0])),
-    ("synapses[0]", _add_synapse(lambda layers, out: layers[0][0], lambda layers, out: 0)),
+    ("root: invalid network: input-in-degree",
+     _add_synapse(lambda layers, out: layers[0][0], lambda layers, out: 0)),
 ], ids=["layers-int", "layer-int", "layers-one-input", "layers-missing", "layers-repeated",
         "layers-unequal", "two-outputs", "skip-edge", "backward-edge", "edge-into-input"])
 def test_derandomize_rejects_inconsistent_feedforward_block(tmp_path, capsys, field, edit):
@@ -232,6 +238,37 @@ def test_equiv_rejects_wrong_input_count(tmp_path, capsys, bits):
     assert code == 2
     assert captured.out == ""
     assert f"error: network has 3 inputs, got {len(bits)} bits" in captured.err
+
+
+_BROKEN_UNIT = {  # one edit of the n = 4 unit's JSON per rule, breaking that rule alone
+    "bias-sign": lambda doc: doc["neurons"][6].update(bias="-1"),
+    "polarity-sign": lambda doc: doc["synapses"][0].update(weight="-4"),  # data[0] -> enc[0]
+    "input-in-degree": lambda doc: doc["synapses"].append({"pre": 6, "post": 0, "weight": "2"}),
+    "duplicate-name": lambda doc: doc["neurons"][7].update(name=doc["neurons"][6]["name"]),
+    "duplicate-synapse": lambda doc: doc["synapses"].append(dict(doc["synapses"][0])),
+    "zero-weight": lambda doc: doc["synapses"][0].update(weight="0"),
+}
+
+
+@pytest.mark.parametrize("rule", _BROKEN_UNIT)
+def test_commands_refuse_a_network_that_breaks_a_rule(tmp_path, capsys, rule):
+    doc = network_to_json(build_neuro_ram(4, lam=Fraction(1, 32))[0])
+    _BROKEN_UNIT[rule](doc)
+    with pytest.raises(InvalidParameterError, match=f"^invalid network: {rule}: "):
+        Network(Fraction(doc["lambda"]),
+                [Neuron(u["id"], u["name"], Kind(u["kind"]), Polarity(u["polarity"]),
+                        int(u["bias"])) for u in doc["neurons"]],
+                [Synapse(s["pre"], s["post"], int(s["weight"])) for s in doc["synapses"]])
+    bad, out = tmp_path / "bad.json", tmp_path / "ff.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["run", "--inputs", "101010", "--rounds", "3"],
+                 ["unroll", "--t", "3", "--out", str(out)],
+                 ["equiv", "--inputs", "101010", "--t", "3", "--trials", "10000"]):
+        assert main([*argv, "--net", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: root: invalid network: {rule}: ")
+    assert not out.exists()
 
 
 def test_run_reports_missing_file(tmp_path, capsys):

@@ -16,7 +16,7 @@ from neuroram.ramnet import IndexInstance, address_bits, build_neuro_ram, index_
 from neuroram.randomnets import random_network
 from neuroram.serialize import network_from_json, network_to_json, save_network
 from neuroram.similarity import build_similarity
-from neuroram.transforms import circuit_states, unroll
+from neuroram.transforms import circuit_states, sample_threshold_circuit, unroll
 
 
 def test_agrees_with_exact_engine_on_rates():
@@ -151,6 +151,9 @@ def test_wide_neurons_need_a_temperature_below_2_to_45():
         ff = unroll(net, 2)
         with pytest.raises(InvalidParameterError, match=r"'u@1'.*temperature below 2\*\*45"):
             circuit_states(ff, {ff.inputs[0]: 1}, 10, 0, [ff.out])
+        # derandomize refuses the same net before it draws a circuit
+        with pytest.raises(InvalidParameterError, match=r"'u@1'.*temperature below 2\*\*45"):
+            sample_threshold_circuit(ff, 0)
     # the exact engine keeps the exact law, here at lambda = 2**54
     rate = np.mean([run(net, {0: 1}, 1, seed=k)[1, 1] for k in range(2000)])
     assert abs(rate - firing_probability(2**54, net.lam)) < 0.04

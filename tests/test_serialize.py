@@ -87,6 +87,18 @@ def test_malformed_fields_name_their_paths():
         network_from_json(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bias", "1_0"), ("bias", " 12 "), ("bias", "+3"), ("bias", "\u0661\u0662"), ("bias", "1.0"),
+    ("name", ["x"]), ("name", 7), ("name", None),
+], ids=["underscore", "spaces", "plus", "arabic-digits", "float-string",
+        "name-list", "name-int", "name-null"])
+def test_integer_and_name_fields_are_strict(field, value):
+    doc = network_to_json(random_network(2, n_inputs=1, n_aux=1))
+    doc["neurons"][1][field] = value
+    with pytest.raises(SchemaError, match=re.escape(f"neurons[1].{field}: ")):
+        network_from_json(doc)
+
+
 def test_invalid_json_is_a_schema_error(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -18,13 +18,14 @@ from neuroram.transforms import (
 
 
 def single_gate_net(weights, bias, lam=Fraction(1, 2)):
-    """Inputs wired straight into one output gate."""
+    """Inputs wired straight into one output gate; a weight 0 leaves its input unwired."""
     b = NetworkBuilder(lam)
     xs = [b.add_neuron(f"x{i}", Kind.INPUT, Polarity.EXCITATORY, 0)
           for i in range(len(weights))]
     z = b.add_neuron("z", Kind.OUTPUT, Polarity.EXCITATORY, bias)
     for x, w in zip(xs, weights):
-        b.add_synapse(x, z, w)
+        if w:
+            b.add_synapse(x, z, w)
     return b.build()
 
 
@@ -181,6 +182,12 @@ def test_circuit_states_rejects_bad_arguments():
     for trials, seed, record in ((0, 0, [ff.out]), (10, -1, [ff.out]), (10, 0, [ff.inputs[0]])):
         with pytest.raises(InvalidParameterError):
             circuit_states(ff, bits, trials, seed, record)
+    # on a one-input net gate 1 exists, and True and 1.0 compare equal to it
+    one = unroll(random_network(2, n_inputs=1, n_aux=2), 3)
+    assert one.layers[0][0] == 1
+    for record in ([True], [1.0]):
+        with pytest.raises(InvalidParameterError, match="each record id"):
+            circuit_states(one, {0: 1}, 4, 0, record)
     tc = sample_threshold_circuit(ff, 0)
     for offsets in (tc.offsets[:-1], tc.offsets + (0.0,)):
         with pytest.raises(InvalidParameterError, match="one offset per gate"):
